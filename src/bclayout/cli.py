@@ -295,9 +295,6 @@ def run(argv, stdout=None, stderr=None) -> int:
     except (DimensionCapError, EnumerationLimitError, SolverLimitError) as exc:
         print(f"error: {exc}", file=err)
         return 3
-    except NotImplementedError as exc:
-        print(f"error: {exc}", file=err)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 2

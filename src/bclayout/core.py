@@ -30,17 +30,32 @@ class DimensionCapError(ValueError):
     """Materializing this dimension would exceed the configured cap."""
 
 
-def check_permutation(values, size: int) -> None:
-    """Raise ValueError unless `values` is a permutation of 0..size-1."""
-    if len(values) != size:
-        raise ValueError(f"expected a permutation of {size} elements, got {len(values)}")
+def check_permutation(values, size: int) -> tuple[int, ...]:
+    """Return `values` as a tuple of Python ints when it is a permutation of
+    0..size-1; raise ValueError otherwise, including for bool, float and
+    other non-integer entries.
+
+    A plain loop, not numpy: a random tree of dimension n checks 2**(n-1) - 1
+    permutations, most of 2 to 8 elements, where numpy's per-call overhead
+    costs more than the loop.
+    """
+    if bool in map(type, values):
+        raise ValueError("permutation entries must be integers, not bool")
+    try:
+        # operator.index returns an exact int as the same object
+        phi = tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise ValueError(f"permutation entries must be integers: {exc}") from exc
+    if len(phi) != size:
+        raise ValueError(f"expected a permutation of {size} elements, got {len(phi)}")
     seen = bytearray(size)
-    for x in values:
+    for x in phi:
         if not 0 <= x < size:
             raise ValueError(f"permutation value {x} out of range 0..{size - 1}")
         if seen[x]:
             raise ValueError(f"permutation repeats value {x}")
         seen[x] = 1
+    return phi
 
 
 def _check_cap(dimension: int, cap: int) -> None:
@@ -170,8 +185,7 @@ class Node:
     def __post_init__(self):
         if self.left.dimension != self.right.dimension:
             raise ValueError("left and right subtrees must have equal dimension")
-        phi = tuple(operator.index(x) for x in self.phi)
-        check_permutation(phi, 1 << self.left.dimension)
+        phi = check_permutation(self.phi, 1 << self.left.dimension)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "dimension", self.left.dimension + 1)
 

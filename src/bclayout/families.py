@@ -14,17 +14,14 @@ from .core import (
     BcGraph,
     ConstructionTree,
     DEFAULT_DIMENSION_CAP,
-    DimensionCapError,
     Leaf,
     Node,
+    _check_cap,
     materialize,
 )
 from .rng import SplitMix64
 
 KINDS = ("hypercube", "locally-twisted", "mobius-0", "mobius-1", "random")
-# Recognized but unimplemented kinds, reserved for matching rules that live
-# in their own references.
-RESERVED_KINDS = ("crossed", "twisted", "spined", "z-cube")
 
 _LEAF = Leaf()
 
@@ -39,7 +36,7 @@ class FamilySpec:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS and self.kind not in RESERVED_KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if self.kind == "random":
             if self.seed is None:
@@ -63,8 +60,7 @@ class FamilySpec:
 def _check_dimension(n: int, cap: int) -> None:
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    if n > cap:
-        raise DimensionCapError(f"dimension {n} exceeds the cap {cap}")
+    _check_cap(n, cap)
 
 
 def _identity(size: int) -> tuple[int, ...]:
@@ -166,8 +162,4 @@ def build(spec: FamilySpec, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph:
         return mobius(spec.dimension, 0, cap=cap)
     if spec.kind == "mobius-1":
         return mobius(spec.dimension, 1, cap=cap)
-    if spec.kind == "random":
-        return random_bc(spec.dimension, spec.seed, cap=cap)
-    raise NotImplementedError(
-        f"family {spec.kind!r} is a reserved extension point"
-    )
+    return random_bc(spec.dimension, spec.seed, cap=cap)

@@ -42,7 +42,9 @@ def tree_from_json_obj(obj) -> ConstructionTree:
         phi = obj["phi"]
     except KeyError as exc:
         raise ValueError(f"tree node is missing key {exc}") from exc
-    if not isinstance(phi, list) or not all(isinstance(x, int) for x in phi):
+    if not isinstance(phi, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in phi
+    ):
         raise ValueError("phi must be a list of integers")
     return Node(tree_from_json_obj(left), tree_from_json_obj(right), tuple(phi))
 
@@ -79,11 +81,23 @@ def dump_graph_json(doc: GraphDocument, fp: IO[str]) -> None:
 
 
 def load_graph_json(fp: IO[str]) -> GraphDocument:
-    data = json.load(fp)
+    return _parse_graph_json(fp.read())
+
+
+def _parse_graph_json(text: str) -> GraphDocument:
+    # Nesting beyond the interpreter's recursion limit, in the JSON parser or
+    # in tree_from_json_obj, is malformed input.
+    try:
+        return _graph_document(json.loads(text))
+    except RecursionError as exc:
+        raise ValueError("graph JSON nests too deeply") from exc
+
+
+def _graph_document(data) -> GraphDocument:
     if not isinstance(data, dict):
         raise ValueError("graph JSON must be an object")
     dimension = data.get("dimension")
-    if not isinstance(dimension, int) or dimension < 1:
+    if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
         raise ValueError("'dimension' must be a positive integer")
     edges = data.get("edges")
     if not isinstance(edges, list):
@@ -106,7 +120,8 @@ def dump_edge_list(graph: Graph, fp: IO[str]) -> None:
         fp.write(f"{u} {v}\n")
 
 
-def load_edge_list(fp: IO[str]) -> Graph:
+def load_edge_list(fp: Iterable[str]) -> Graph:
+    """Read the edge-list format from an open text file or a list of lines."""
     lines = [line.strip() for line in fp]
     lines = [line for line in lines if line]
     if not lines:
@@ -156,19 +171,8 @@ def load_graph_any(fp: IO[str]) -> GraphDocument:
     """Read either format; JSON when the first non-blank byte is '{'."""
     text = fp.read()
     if text.lstrip().startswith("{"):
-        return load_graph_json(_StringReader(text))
-    return GraphDocument(load_edge_list(_StringReader(text)))
-
-
-class _StringReader:
-    def __init__(self, text: str):
-        self._text = text
-
-    def read(self, *args) -> str:
-        return self._text
-
-    def __iter__(self):
-        return iter(self._text.splitlines())
+        return _parse_graph_json(text)
+    return GraphDocument(load_edge_list(text.splitlines()))
 
 
 def report_to_json_dict(report: LayoutReport) -> dict:

@@ -12,7 +12,6 @@ solvers confirm it at small scale.
 from __future__ import annotations
 
 import itertools
-import operator
 import time
 from dataclasses import dataclass
 
@@ -22,7 +21,6 @@ from .core import (
     BcGraph,
     ConstructionTree,
     Graph,
-    Leaf,
     check_permutation,
 )
 from .isoperimetric import brute_force_tables, sum_edge_boundary
@@ -46,7 +44,12 @@ class LinearArrangement:
     __slots__ = ("_positions",)
 
     def __init__(self, positions):
-        arr = np.array(list(positions), dtype=np.int64)
+        if not isinstance(positions, np.ndarray):
+            positions = list(positions)
+        try:
+            arr = np.array(positions, dtype=np.int64)
+        except OverflowError as exc:
+            raise ValueError(f"positions must lie in 1..{len(positions)}") from exc
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("positions must be a non-empty sequence")
         n = arr.size
@@ -59,7 +62,7 @@ class LinearArrangement:
 
     @classmethod
     def identity(cls, vertex_count: int) -> "LinearArrangement":
-        return cls(range(1, vertex_count + 1))
+        return cls(np.arange(1, vertex_count + 1, dtype=np.int64))
 
     @property
     def positions(self) -> np.ndarray:
@@ -102,6 +105,10 @@ class CutProfile:
 
 @dataclass(frozen=True)
 class LayoutReport:
+    """Cost of an arrangement against a lower bound. `closed_form` is the
+    BC bound 2**(n-1) * (2**n - 1) when a BC witness applies, and then
+    equals `lower_bound`; it is None for the generic enumeration bound."""
+
     cost: int
     lower_bound: int
     closed_form: int | None
@@ -159,33 +166,17 @@ def cut_profile(graph: Graph, arrangement: LinearArrangement) -> CutProfile:
     starts = np.bincount(lo, minlength=n + 1)
     stops = np.bincount(hi, minlength=n + 1)
     running = np.cumsum(starts - stops)
-    return CutProfile(tuple(int(c) for c in running[1:n]))
+    return CutProfile(tuple(running[1:n].tolist()))
 
 
 def bc_arrangement(tree: ConstructionTree) -> LinearArrangement:
     """The recursive construction-tree arrangement.
 
-    The left block keeps its (n-1)-dimensional positions, the right block is
-    shifted by half; under the global id convention this lands on
-    f(v) = v + 1 for every tree.
+    The left block keeps its (n-1)-dimensional positions and the right block
+    is shifted by half. Under the global id convention this is f(v) = v + 1
+    for every tree, so the identity is returned without walking the tree.
     """
-    return LinearArrangement(_bc_positions(tree, {}))
-
-
-def _bc_positions(tree: ConstructionTree, memo: dict) -> list[int]:
-    key = id(tree)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    if isinstance(tree, Leaf):
-        out = [1, 2]
-    else:
-        half = 1 << tree.left.dimension
-        left = _bc_positions(tree.left, memo)
-        right = _bc_positions(tree.right, memo)
-        out = left + [p + half for p in right]
-    memo[key] = out
-    return out
+    return LinearArrangement.identity(1 << tree.dimension)
 
 
 def lower_bound_closed(n: int) -> int:
@@ -208,8 +199,7 @@ def cross_matching_cost(n: int, phi) -> int:
     if n < 1:
         raise ValueError("dimension must be positive")
     half = 1 << (n - 1)
-    phi = tuple(operator.index(x) for x in phi)
-    check_permutation(phi, half)
+    phi = check_permutation(phi, half)
     return sum(abs((phi[v] + half + 1) - (v + 1)) for v in range(half))
 
 
@@ -354,9 +344,8 @@ def certify(bc: BcGraph) -> LayoutReport:
     f = bc_arrangement(bc.tree)
     cost = arrangement_cost(bc.graph, f)
     bound = lower_bound_closed(bc.dimension)
-    closed = (1 << (bc.dimension - 1)) * ((1 << bc.dimension) - 1)
     profile = cut_profile(bc.graph, f)
-    return LayoutReport(cost, bound, closed, profile, cost == bound)
+    return LayoutReport(cost, bound, bound, profile, cost == bound)
 
 
 def evaluate_arrangement(
@@ -375,9 +364,7 @@ def evaluate_arrangement(
     profile = cut_profile(graph, arrangement)
     if witness is not None:
         bound = lower_bound_closed(witness.dimension)
-        closed: int | None = (1 << (witness.dimension - 1)) * (
-            (1 << witness.dimension) - 1
-        )
+        closed: int | None = bound
     else:
         bound = lower_bound_generic(graph)
         closed = None

@@ -26,6 +26,7 @@ from .isoperimetric import (
     edge_boundary,
     edge_boundary_expanded,
     max_induced_edges,
+    sum_edge_boundary,
 )
 from .layout import (
     arrangement_cost,
@@ -219,14 +220,19 @@ def _arithmetic_identities(seed: int) -> tuple[bool, str]:
     checked = 0
     for n in range(1, 17):
         size = 1 << n
+        total = 0
         for m in range(1, size):
             checked += 2
-            if edge_boundary(n, m) != edge_boundary(n, size - m):
+            theta = edge_boundary(n, m)
+            if theta != edge_boundary(n, size - m):
                 failures.append(f"complement symmetry fails at n={n} m={m}")
                 break
-            if edge_boundary(n, m) != edge_boundary_expanded(n, m):
+            if theta != edge_boundary_expanded(n, m):
                 failures.append(f"term expansion differs at n={n} m={m}")
                 break
+            total += theta
+        if total != sum_edge_boundary(n):
+            failures.append(f"boundary sum differs from the closed form at n={n}")
     rng = SplitMix64(seed)
     seeds = _seeds(rng.next_u64(), 3)
     for n in (2, 3, 4, 5):

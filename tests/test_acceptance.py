@@ -45,6 +45,7 @@ def test_pinned_certified_costs():
 def test_pinned_lower_bounds():
     assert lower_bound_closed(10) == 523776
     assert lower_bound_closed(20) == 549755289600
-    # formula and summation routes both live inside lower_bound_closed;
-    # re-state the formula here so the literal stays visible
+    # lower_bound_closed evaluates the closed form; the summation route is
+    # checked by the arithmetic-identities suite and test_isoperimetric.
+    # Re-state the formula here so the literal stays visible.
     assert lower_bound_closed(20) == (1 << 19) * ((1 << 20) - 1)

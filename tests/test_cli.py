@@ -247,3 +247,48 @@ def test_usage_errors():
     assert invoke("build", "--family", "klein-bottle", "-n", "3")[0] == 2
     assert invoke("build", "--family", "hypercube")[0] == 2  # missing -n
     assert invoke("eval", "-g", "/nonexistent", "-a", "/nonexistent")[0] == 2
+
+
+# ------------------------------------------------- malformed input
+
+
+def assert_input_error(*argv):
+    status, _, err = invoke(*argv)
+    assert status == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ")
+
+
+def test_cap_above_ceiling_is_input_error():
+    assert_input_error("build", "--family", "hypercube", "-n", "3", "--cap", "27")
+
+
+def test_deeply_nested_tree_is_input_error(tmp_path):
+    depth = 3000
+    tree = '{"left":' * depth + '{"leaf":true}' + ',"right":{"leaf":true},"phi":[0,1]}' * depth
+    gpath = tmp_path / "deep.json"
+    gpath.write_text('{"dimension":1,"edges":[[0,1]],"tree":' + tree + "}")
+    assert_input_error("certify", "-i", str(gpath))
+
+
+def test_boolean_dimension_is_input_error(tmp_path):
+    gpath = tmp_path / "g.json"
+    gpath.write_text('{"dimension":true,"edges":[[0,1]],"tree":{"leaf":true}}')
+    assert_input_error("certify", "-i", str(gpath))
+
+
+def test_boolean_phi_entries_are_input_error(tmp_path):
+    gpath = tmp_path / "g.json"
+    gpath.write_text(
+        '{"dimension":2,"edges":[[0,1],[0,2],[1,3],[2,3]],"tree":'
+        '{"left":{"leaf":true},"right":{"leaf":true},"phi":[false,true]}}'
+    )
+    assert_input_error("certify", "-i", str(gpath))
+
+
+def test_oversized_arrangement_position_is_input_error(tmp_path):
+    gpath = tmp_path / "g.json"
+    assert invoke("build", "--family", "hypercube", "-n", "1", "-o", str(gpath))[0] == 0
+    apath = tmp_path / "f.txt"
+    apath.write_text(f"0 1\n1 {2**70}\n")
+    assert_input_error("eval", "-g", str(gpath), "-a", str(apath))

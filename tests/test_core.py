@@ -14,6 +14,7 @@ from bclayout import (
     materialize,
     validate,
 )
+from bclayout.core import check_permutation
 
 
 def bitflip_edges(n):
@@ -90,6 +91,26 @@ def test_node_rejects_bad_bijections():
         Node(Leaf(), Leaf(), (0, 2))  # out of range
     with pytest.raises(ValueError):
         Node(Leaf(), Leaf(), (0, 1, 2))  # wrong length
+
+
+def test_check_permutation_normalizes_and_rejects():
+    phi = check_permutation(np.array([1, 0, 2], dtype=np.uint8), 3)
+    assert phi == (1, 0, 2)
+    assert all(type(x) is int for x in phi)
+    assert Node(Leaf(), Leaf(), np.array([1, 0])).phi == (1, 0)
+    for bad in (
+        (0, 1, 2),  # wrong length
+        (0, 3),  # out of range
+        (-1, 0),  # out of range
+        (1, 1),  # repeated value
+        (0.0, 1.0),  # float dtype
+        (False, True),  # bool dtype
+        np.array([False, True]),  # bool dtype
+        (0, 2**70),  # object dtype
+        ("0", "1"),  # string dtype
+    ):
+        with pytest.raises(ValueError):
+            check_permutation(bad, 2)
 
 
 def test_node_rejects_dimension_mismatch():

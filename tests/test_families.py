@@ -17,7 +17,7 @@ from bclayout import (
     random_bc,
     validate,
 )
-from bclayout.families import KINDS, RESERVED_KINDS
+from bclayout import families
 
 
 def all_members(n, seeds=(1, 2)):
@@ -49,6 +49,17 @@ def test_out_of_range_dimension():
         hypercube(7, cap=6)
     with pytest.raises(DimensionCapError):
         random_bc(30, 1)
+
+
+def test_cap_above_ceiling_is_rejected_before_any_tree_is_built(monkeypatch):
+    def no_nodes(*args, **kwargs):
+        raise AssertionError("a tree node was built")
+
+    monkeypatch.setattr(families, "Node", no_nodes)
+    with pytest.raises(ValueError, match="cap must be"):
+        hypercube(3, cap=27)
+    with pytest.raises(ValueError, match="cap must be"):
+        random_bc(3, 1, cap=27)
 
 
 def test_locally_twisted_small_cases():
@@ -140,11 +151,3 @@ def test_family_spec_json_round_trip():
 def test_build_family_dispatch():
     assert build_family(FamilySpec("hypercube", 3)).graph == hypercube(3).graph
     assert build_family(FamilySpec("random", 3, seed=4)).graph == random_bc(3, 4).graph
-
-
-def test_reserved_kinds_are_declared_but_unbuilt():
-    for kind in RESERVED_KINDS:
-        spec = FamilySpec(kind, 3)
-        with pytest.raises(NotImplementedError):
-            build_family(spec)
-    assert set(KINDS).isdisjoint(RESERVED_KINDS)

@@ -25,7 +25,6 @@ from bclayout import (
     random_bc,
     sum_edge_boundary,
 )
-from bclayout.isoperimetric import _induced_max_table
 
 
 def combo_tables(graph):
@@ -145,13 +144,6 @@ def test_sum_edge_boundary_values():
 @pytest.mark.parametrize("n", range(1, 11))
 def test_sum_matches_literal_python_summation(n):
     assert sum_edge_boundary(n) == sum(edge_boundary(n, m) for m in range(1, 1 << n))
-
-
-@pytest.mark.parametrize("n", range(1, 13))
-def test_recurrence_table_matches_formula(n):
-    table = _induced_max_table(n)
-    for m in range(1, 1 << n):
-        assert int(table[m]) == max_induced_edges(m)
 
 
 # ------------------------------------------------------ subset oracles
