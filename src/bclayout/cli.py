@@ -133,19 +133,31 @@ def _family_spec_from_args(args) -> families.FamilySpec:
     return families.FamilySpec(args.family, args.dimension, args.seed)
 
 
+def _doc_from_args(args, load):
+    """GraphDocument built from --family flags (trusted) or read from
+    --input by `load` (untrusted), with whether it is trusted."""
+    if (args.family is None) == (args.input is None):
+        raise ValueError("provide exactly one of --family or --input")
+    if args.family is not None:
+        bc = families.build(_family_spec_from_args(args), cap=args.cap)
+        return formats.GraphDocument.from_bc(bc), True
+    with open(args.input) as fp:
+        return load(fp), False
+
+
 def _bc_from_args(args):
     """BcGraph from --family flags or from an input file with a tree."""
-    has_family = getattr(args, "family", None) is not None
-    has_input = getattr(args, "input", None) is not None
-    if has_family == has_input:
-        raise ValueError("provide exactly one of --family or --input")
-    if has_family:
-        return families.build(_family_spec_from_args(args), cap=args.cap), True
-    with open(args.input) as fp:
-        doc = formats.load_graph_json(fp)
+    doc, trusted = _doc_from_args(args, formats.load_graph_json)
     if doc.tree is None:
         raise ValueError(f"{args.input} carries no construction tree")
-    return doc.to_bc(), False
+    return doc.to_bc(), trusted
+
+
+def _witness_is_valid(bc, err) -> bool:
+    check = validate(bc)
+    for line in check.violations:
+        print(f"invalid witness: {line}", file=err)
+    return check.ok
 
 
 def _cmd_build(args, out, err) -> int:
@@ -188,15 +200,9 @@ def _cmd_eval(args, out, err) -> int:
         doc = formats.load_graph_any(fp)
     with open(args.arrangement) as fp:
         arrangement = formats.load_arrangement(fp)
-    witness = None
-    if doc.tree is not None:
-        bc = doc.to_bc()
-        report_check = validate(bc)
-        if not report_check.ok:
-            for line in report_check.violations:
-                print(f"invalid witness: {line}", file=err)
-            return 2
-        witness = bc
+    witness = None if doc.tree is None else doc.to_bc()
+    if witness is not None and not _witness_is_valid(witness, err):
+        return 2
     report = evaluate_arrangement(doc.graph, arrangement, witness=witness)
     _emit_report(report, args, out)
     return 0
@@ -204,12 +210,8 @@ def _cmd_eval(args, out, err) -> int:
 
 def _cmd_certify(args, out, err) -> int:
     bc, trusted = _bc_from_args(args)
-    if not trusted:
-        check = validate(bc)
-        if not check.ok:
-            for line in check.violations:
-                print(f"invalid witness: {line}", file=err)
-            return 1
+    if not trusted and not _witness_is_valid(bc, err):
+        return 1
     report = certify(bc)
     _emit_report(report, args, out)
     return 0 if report.optimal else 1
@@ -226,21 +228,9 @@ def _emit_report(report, args, out) -> None:
 
 
 def _cmd_solve(args, out, err) -> int:
-    has_family = args.family is not None
-    has_input = args.input is not None
-    if has_family == has_input:
-        raise ValueError("provide exactly one of --family or --input")
-    incumbent = None
-    if has_family:
-        bc = families.build(_family_spec_from_args(args), cap=args.cap)
-        graph = bc.graph
-        incumbent = bc_arrangement(bc.tree)
-    else:
-        with open(args.input) as fp:
-            doc = formats.load_graph_any(fp)
-        graph = doc.graph
-        if doc.tree is not None:
-            incumbent = bc_arrangement(doc.tree)
+    doc, _ = _doc_from_args(args, formats.load_graph_any)
+    graph = doc.graph
+    incumbent = None if doc.tree is None else bc_arrangement(doc.tree)
     mode = args.mode
     if mode == "auto":
         mode = (

@@ -10,6 +10,13 @@ Vertex id convention: a left-subtree vertex keeps its local id, a
 right-subtree vertex is shifted by half the vertex count, so the top bit
 distinguishes the halves at every recursion level and the all-identity tree
 materializes to the bit-flip hypercube.
+
+Canonical order for free: the tree node of dimension d above vertex u adds
+one edge at u, and that edge leads above u exactly when bit d-1 of u is 0.
+Those upper neighbours rise with d, because the level-d neighbour lies in
+u's dimension-d block and every larger level's neighbour lies past it. So u
+has n - popcount(u) upper neighbours, and `materialize` writes each level's
+matching straight into the rows that sorting by (u, v) would give it.
 """
 
 from __future__ import annotations
@@ -81,10 +88,7 @@ class Graph:
         vertex_count = operator.index(vertex_count)
         if vertex_count < 1:
             raise ValueError("vertex_count must be positive")
-        if isinstance(edges, np.ndarray):
-            raw = edges
-        else:
-            raw = np.array(list(edges))
+        raw = edges if isinstance(edges, np.ndarray) else np.array(list(edges))
         if raw.size == 0:
             arr = np.empty((0, 2), dtype=np.int64)
         else:
@@ -93,17 +97,19 @@ class Graph:
             if not np.issubdtype(raw.dtype, np.integer):
                 raise ValueError("edge endpoints must be integers")
             arr = raw.astype(np.int64, copy=True)
-        if arr.shape[0]:
-            lo = arr.min(axis=1)
-            hi = arr.max(axis=1)
-            if lo.min() < 0 or hi.max() >= vertex_count:
+            lo, hi = arr[:, 0], arr[:, 1]
+            if arr.min() < 0 or arr.max() >= vertex_count:
                 raise ValueError("edge endpoint out of range")
             if (lo == hi).any():
                 raise ValueError("self-loops are not allowed")
-            arr = np.column_stack([lo, hi])
-            arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
-            if arr.shape[0] > 1 and (arr[1:] == arr[:-1]).all(axis=1).any():
-                raise ValueError("duplicate edges are not allowed")
+            flip = lo > hi
+            if flip.any():
+                lo[flip], hi[flip] = hi[flip], lo[flip]
+            # materialized graphs and saved edge lists arrive sorted
+            if not _strictly_increasing(lo, hi):
+                arr = arr[np.lexsort((hi, lo))]
+                if not _strictly_increasing(arr[:, 0], arr[:, 1]):
+                    raise ValueError("duplicate edges are not allowed")
         arr.setflags(write=False)
         self.vertex_count = vertex_count
         self._edges = arr
@@ -160,6 +166,13 @@ class Graph:
         return f"Graph(vertex_count={self.vertex_count}, edge_count={self.edge_count})"
 
 
+def _strictly_increasing(lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Whether the rows (lo[i], hi[i]) increase strictly in (lo, hi) order.
+    Compares the columns, as a packed key could overflow int64."""
+    lo0, lo1 = lo[:-1], lo[1:]
+    return bool(((lo0 < lo1) | ((lo0 == lo1) & (hi[:-1] < hi[1:]))).all())
+
+
 @dataclass(frozen=True)
 class Leaf:
     """Construction-tree base case: the single-edge graph on two vertices."""
@@ -210,51 +223,54 @@ class BcGraph:
 
 
 def materialize(tree: ConstructionTree, *, cap: int = DEFAULT_DIMENSION_CAP) -> Graph:
-    """Build the concrete graph described by a construction tree."""
+    """Build the concrete graph described by a construction tree.
+
+    One pass over the levels d = n..1 writes each level's matching edges
+    (u, base + half + phi[u - base]) into u's canonical rows: they start
+    after the n - popcount(w) upper neighbours of every w < u, and the
+    level-d edge follows one row per zero bit of u below bit d-1 (see the
+    module docstring), so Graph finds the rows sorted. Each distinct subtree
+    at a level is read once and broadcast over the blocks it fills.
+    """
     _check_cap(tree.dimension, cap)
-    edges = _materialize_edges(tree, {})
-    return Graph(1 << tree.dimension, edges)
-
-
-def _materialize_edges(tree: ConstructionTree, memo: dict) -> np.ndarray:
-    # memo keyed by object identity: shared subtrees are materialized once
-    key = id(tree)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    if isinstance(tree, Leaf):
-        out = np.array([[0, 1]], dtype=np.int64)
-    else:
-        half = 1 << tree.left.dimension
-        left = _materialize_edges(tree.left, memo)
-        right = _materialize_edges(tree.right, memo) + half
-        cross = np.empty((half, 2), dtype=np.int64)
-        cross[:, 0] = np.arange(half)
-        cross[:, 1] = np.asarray(tree.phi, dtype=np.int64) + half
-        out = np.concatenate([left, right, cross])
-    memo[key] = out
-    return out
+    n = tree.dimension
+    upper = n - np.bitwise_count(np.arange(1 << n)).astype(np.int64)
+    first = np.cumsum(upper) - upper
+    edges = np.empty((n << (n - 1), 2), dtype=np.int64)
+    # nodes: the distinct subtrees of this level; which[b]: the one in block b
+    nodes, which = [tree], np.zeros(1, dtype=np.intp)
+    for d in range(n, 0, -1):
+        half = 1 << (d - 1)
+        # a leaf is the edge (0, 1): one-vertex halves joined by phi = (0,)
+        phi = [node.phi for node in nodes] if d > 1 else [(0,)] * len(nodes)
+        x = np.arange(half)
+        base = (np.arange(which.size) << d)[:, None]
+        rows = first[base + x] + (d - 1 - np.bitwise_count(x))
+        edges[rows, 0] = base + x
+        edges[rows, 1] = base + half + np.array(phi, dtype=np.int64)[which]
+        if d > 1:
+            kids = [kid for node in nodes for kid in (node.left, node.right)]
+            _, firsts, kid_of = np.unique(
+                list(map(id, kids)), return_index=True, return_inverse=True
+            )
+            nodes = [kids[i] for i in firsts]
+            which = kid_of.reshape(-1, 2)[which].ravel()
+    return Graph(1 << n, edges)
 
 
 def compose(g1: BcGraph, g2: BcGraph, phi) -> BcGraph:
     """Join two equal-dimension BC graphs with the matching v -> phi[v].
 
     The result keeps g1's vertex ids, shifts g2's by half, and adds the
-    matching edges (v, phi[v] + half).
+    matching edges (v, phi[v] + half); its graph is built from the joined
+    construction tree.
     """
     if g1.dimension != g2.dimension:
         raise ValueError(
             f"cannot compose dimensions {g1.dimension} and {g2.dimension}"
         )
     tree = Node(g1.tree, g2.tree, tuple(phi))
-    half = 1 << g1.dimension
-    cross = np.empty((half, 2), dtype=np.int64)
-    cross[:, 0] = np.arange(half)
-    cross[:, 1] = np.asarray(tree.phi, dtype=np.int64) + half
-    edges = np.concatenate(
-        [g1.graph.edge_array, g2.graph.edge_array + half, cross]
-    )
-    return BcGraph(g1.dimension + 1, Graph(2 * half, edges), tree)
+    return BcGraph(tree.dimension, materialize(tree, cap=MAX_DIMENSION_CAP), tree)
 
 
 @dataclass(frozen=True)

@@ -107,28 +107,22 @@ def mobius(n: int, variant: int, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph
     if variant not in (0, 1):
         raise ValueError("variant must be 0 or 1")
     _check_dimension(n, cap)
-    tree = _mobius_tree(n, variant, {})
+    tree = _mobius_tree(n, variant)
     return BcGraph(n, materialize(tree, cap=cap), tree)
 
 
-def _mobius_tree(d: int, variant: int, memo: dict) -> ConstructionTree:
-    key = (d, variant)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    if d == 1:
-        tree: ConstructionTree = _LEAF
-    else:
-        left = _mobius_tree(d - 1, 0, memo)
-        right = _mobius_tree(d - 1, 1, memo)
+def _mobius_tree(n: int, variant: int) -> ConstructionTree:
+    # zero and one are the variant-0 and variant-1 trees of dimension d - 1;
+    # both variants of dimension d join them, and only the requested variant
+    # is built at the top.
+    zero = one = _LEAF
+    for d in range(2, n + 1):
         half = 1 << (d - 1)
-        if variant == 0:
-            phi = _identity(half)
-        else:
-            phi = tuple(half - 1 - x for x in range(half))
-        tree = Node(left, right, phi)
-    memo[key] = tree
-    return tree
+        phis = (range(half), range(half - 1, -1, -1))
+        if d == n:
+            return Node(zero, one, tuple(phis[variant]))
+        zero, one = Node(zero, one, tuple(phis[0])), Node(zero, one, tuple(phis[1]))
+    return _LEAF
 
 
 def random_bc(n: int, seed: int, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph:
@@ -154,12 +148,9 @@ def _random_tree(d: int, rng: SplitMix64) -> ConstructionTree:
 
 def build(spec: FamilySpec, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph:
     """Construct the BcGraph a FamilySpec describes."""
-    if spec.kind == "hypercube":
-        return hypercube(spec.dimension, cap=cap)
-    if spec.kind == "locally-twisted":
-        return locally_twisted(spec.dimension, cap=cap)
-    if spec.kind == "mobius-0":
-        return mobius(spec.dimension, 0, cap=cap)
-    if spec.kind == "mobius-1":
-        return mobius(spec.dimension, 1, cap=cap)
-    return random_bc(spec.dimension, spec.seed, cap=cap)
+    if spec.kind == "random":
+        return random_bc(spec.dimension, spec.seed, cap=cap)
+    if spec.kind in ("mobius-0", "mobius-1"):
+        return mobius(spec.dimension, int(spec.kind[-1]), cap=cap)
+    constructor = hypercube if spec.kind == "hypercube" else locally_twisted
+    return constructor(spec.dimension, cap=cap)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO, Iterable
 
 from .core import BcGraph, ConstructionTree, Graph, Leaf, Node
@@ -102,6 +103,11 @@ def _graph_document(data) -> GraphDocument:
     edges = data.get("edges")
     if not isinstance(edges, list):
         raise ValueError("'edges' must be an array of pairs")
+    try:  # an entry that is not a pair stops the scan; Graph names that error
+        if bool in map(type, chain.from_iterable(edges)):
+            raise ValueError("edge endpoints must be integers, not bool")
+    except TypeError:
+        pass
     graph = Graph(1 << dimension, edges)
     tree = None
     if data.get("tree") is not None:
@@ -122,8 +128,7 @@ def dump_edge_list(graph: Graph, fp: IO[str]) -> None:
 
 def load_edge_list(fp: Iterable[str]) -> Graph:
     """Read the edge-list format from an open text file or a list of lines."""
-    lines = [line.strip() for line in fp]
-    lines = [line for line in lines if line]
+    lines = [line for line in map(str.strip, fp) if line]
     if not lines:
         raise ValueError("empty edge-list file")
     header = lines[0].split()

@@ -139,12 +139,16 @@ def brute_force_tables(graph: Graph) -> tuple[list[int], list[int]]:
     return induced_max, boundary_min
 
 
-def _check_subset_args(graph: Graph, m: int) -> None:
-    if graph.vertex_count > ENUMERATION_LIMIT:
+def _check_enumerable(n: int) -> None:
+    if n > ENUMERATION_LIMIT:
         raise EnumerationLimitError(
-            f"graph with {graph.vertex_count} vertices exceeds the "
+            f"graph with {n} vertices exceeds the "
             f"{ENUMERATION_LIMIT}-vertex enumeration limit"
         )
+
+
+def _check_subset_args(graph: Graph, m: int) -> None:
+    _check_enumerable(graph.vertex_count)
     if not 1 <= m <= graph.vertex_count:
         raise ValueError(f"subset size must be in 1..{graph.vertex_count}")
 
@@ -156,11 +160,7 @@ def _subset_tables(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the recurrence I(S) = I(S - v) + |adj(v) & (S - v)| for v the lowest bit.
     """
     n = graph.vertex_count
-    if n > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(
-            f"graph with {n} vertices exceeds the "
-            f"{ENUMERATION_LIMIT}-vertex enumeration limit"
-        )
+    _check_enumerable(n)
     masks = np.array(graph.adjacency_masks(), dtype=np.uint32)
     degrees = graph.degrees().astype(np.int32)
     size = 1 << n

@@ -44,8 +44,13 @@ class LinearArrangement:
     __slots__ = ("_positions",)
 
     def __init__(self, positions):
-        if not isinstance(positions, np.ndarray):
+        if isinstance(positions, np.ndarray):
+            kinds = {positions.dtype.type}
+        else:
             positions = list(positions)
+            kinds = set(map(type, positions))
+        if any(k is bool or not issubclass(k, (int, np.integer)) for k in kinds):
+            raise ValueError("positions must be integers")
         try:
             arr = np.array(positions, dtype=np.int64)
         except OverflowError as exc:
@@ -341,11 +346,7 @@ def certify(bc: BcGraph) -> LayoutReport:
     lower bound. Equality of achieved cost and universal lower bound proves
     minimality outright, so for a valid BC graph this reports optimal=True.
     """
-    f = bc_arrangement(bc.tree)
-    cost = arrangement_cost(bc.graph, f)
-    bound = lower_bound_closed(bc.dimension)
-    profile = cut_profile(bc.graph, f)
-    return LayoutReport(cost, bound, bound, profile, cost == bound)
+    return evaluate_arrangement(bc.graph, bc_arrangement(bc.tree), witness=bc)
 
 
 def evaluate_arrangement(

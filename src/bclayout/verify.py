@@ -78,8 +78,7 @@ def _suite(name, fn, seed, limit=None):
     try:
         passed, detail = fn(seed)
     except Exception as exc:  # a crash is a failure, not an abort
-        elapsed = time.perf_counter() - start
-        return SuiteResult(name, False, f"error: {exc}", elapsed)
+        passed, detail = False, f"error: {exc}"
     elapsed = time.perf_counter() - start
     if passed and limit is not None and elapsed > limit:
         passed = False
@@ -359,7 +358,3 @@ def run_suite(name: str, seed: int = DEFAULT_SEED) -> SuiteResult:
         if suite_name == name:
             return _suite(suite_name, fn, seed, limit)
     raise ValueError(f"unknown suite {name!r}")
-
-
-def run_all(seed: int = DEFAULT_SEED) -> list[SuiteResult]:
-    return [_suite(name, fn, seed, limit) for name, fn, limit in SUITES]

@@ -292,3 +292,9 @@ def test_oversized_arrangement_position_is_input_error(tmp_path):
     apath = tmp_path / "f.txt"
     apath.write_text(f"0 1\n1 {2**70}\n")
     assert_input_error("eval", "-g", str(gpath), "-a", str(apath))
+
+
+def test_boolean_edge_endpoint_is_input_error(tmp_path):
+    gpath = tmp_path / "g.json"
+    gpath.write_text('{"dimension":1,"edges":[[0,true]],"tree":{"leaf":true}}')
+    assert_input_error("certify", "-i", str(gpath))

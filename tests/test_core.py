@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bclayout import (
     BcGraph,
@@ -66,6 +68,53 @@ def test_graph_equality_and_edge_set():
     assert a.edge_set() == {(0, 1), (2, 3)}
     assert a != Graph(4, [(0, 1)])
     assert a != Graph(5, [(0, 1), (2, 3)])
+
+
+def reference_graph(vertex_count, pairs):
+    """Graph's contract in plain Python: the sorted (min, max) rows, or the
+    message of the first check that fails."""
+    if any(not 0 <= x < vertex_count for pair in pairs for x in pair):
+        return "edge endpoint out of range"
+    if any(u == v for u, v in pairs):
+        return "self-loops are not allowed"
+    rows = sorted((min(u, v), max(u, v)) for u, v in pairs)
+    if len(set(rows)) < len(rows):
+        return "duplicate edges are not allowed"
+    return [list(row) for row in rows]
+
+
+@st.composite
+def edge_inputs(draw):
+    vertex_count = draw(st.integers(1, 16) | st.integers(1, 2**62))
+    ids = st.integers(0, vertex_count - 1)
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=20))
+    order = draw(st.sampled_from(["canonical", "reversed", "shuffled"]))
+    if order == "canonical":
+        pairs = sorted({(min(p), max(p)) for p in pairs if p[0] != p[1]})
+    elif order == "reversed":
+        pairs = [(v, u) for u, v in reversed(pairs)]
+    else:
+        pairs = draw(st.permutations(pairs))
+    if pairs and draw(st.booleans()):
+        pairs.append(draw(st.sampled_from(pairs))[::-1])  # a duplicate
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from([-1, vertex_count, vertex_count + 1]))
+        at = draw(st.integers(0, len(pairs)))
+        pairs.insert(at, (bad, 0) if draw(st.booleans()) else (0, bad))
+    as_array = draw(st.booleans())
+    return vertex_count, np.array(pairs, dtype=np.int64) if as_array else pairs
+
+
+@given(edge_inputs())
+@settings(max_examples=300)
+def test_graph_matches_reference(case):
+    vertex_count, edges = case
+    expected = reference_graph(vertex_count, [tuple(p) for p in edges])
+    try:
+        got = Graph(vertex_count, edges).edge_array.tolist()
+    except ValueError as exc:
+        got = str(exc)
+    assert got == expected
 
 
 def test_edge_array_is_read_only():
@@ -144,6 +193,43 @@ def test_materialize_counts(n):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_identity_tree_is_bitflip_hypercube(n):
     assert hypercube(n).graph.edge_set() == bitflip_edges(n)
+
+
+@st.composite
+def trees(draw):
+    """Trees of dimension 1..6 that mix shared and distinct subtrees."""
+    pool = [Leaf()]
+    for d in range(2, draw(st.integers(1, 6)) + 1):
+        pool = [
+            Node(
+                draw(st.sampled_from(pool)),
+                draw(st.sampled_from(pool)),
+                tuple(draw(st.permutations(range(1 << (d - 1))))),
+            )
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+    return draw(st.sampled_from(pool))
+
+
+def recursive_edges(tree):
+    """The construction's recursion, written out directly."""
+    if isinstance(tree, Leaf):
+        return [(0, 1)]
+    half = 1 << tree.left.dimension
+    right = [(u + half, v + half) for u, v in recursive_edges(tree.right)]
+    cross = [(x, half + y) for x, y in enumerate(tree.phi)]
+    return recursive_edges(tree.left) + right + cross
+
+
+@given(trees(), st.randoms(use_true_random=False))
+@settings(max_examples=100)
+def test_materialize_emits_canonical_rows(tree, rnd):
+    edges = recursive_edges(tree)
+    g = materialize(tree)
+    assert g.edge_array.tolist() == sorted(map(list, edges))
+    rnd.shuffle(edges)
+    flipped = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in edges]
+    assert g == Graph(1 << tree.dimension, flipped)
 
 
 def test_materialize_respects_cap():

@@ -1,5 +1,8 @@
 """Family constructors: canonical members, random members, FamilySpec."""
 
+import io
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,7 @@ from bclayout import (
     validate,
 )
 from bclayout import families
+from bclayout.formats import GraphDocument, dump_graph_json, load_graph_json
 
 
 def all_members(n, seeds=(1, 2)):
@@ -151,3 +155,16 @@ def test_family_spec_json_round_trip():
 def test_build_family_dispatch():
     assert build_family(FamilySpec("hypercube", 3)).graph == hypercube(3).graph
     assert build_family(FamilySpec("random", 3, seed=4)).graph == random_bc(3, 4).graph
+
+
+def test_families_build_in_canonical_order_without_sorting(monkeypatch):
+    def no_sort(*args, **kwargs):
+        raise AssertionError("numpy.lexsort called on canonical rows")
+
+    monkeypatch.setattr(np, "lexsort", no_sort)
+    for kind in families.KINDS:
+        bc = build_family(FamilySpec(kind, 12, 7 if kind == "random" else None))
+        assert bc.graph.edge_count == 12 << 11
+    text = io.StringIO()
+    dump_graph_json(GraphDocument.from_bc(bc), text)
+    assert load_graph_json(io.StringIO(text.getvalue())).graph == bc.graph

@@ -1,5 +1,6 @@
 """Arrangement evaluation, bounds, cross-matching cost, and certification."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,6 +51,18 @@ def test_arrangement_validation():
         LinearArrangement([1, 1, 3])
     with pytest.raises(ValueError):
         LinearArrangement([])
+
+
+def test_arrangement_rejects_non_integer_positions():
+    for bad in (
+        [1.7, 2.2],  # would truncate to [1, 2]
+        [2, True],  # bool mixed with ints
+        np.array([2.0, 1.0]),
+        np.array([True]),
+        [None, 1],  # object dtype
+    ):
+        with pytest.raises(ValueError, match="integers"):
+            LinearArrangement(bad)
 
 
 def test_arrangement_helpers():
