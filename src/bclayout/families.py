@@ -63,17 +63,13 @@ def _check_dimension(n: int, cap: int) -> None:
     _check_cap(n, cap)
 
 
-def _identity(size: int) -> tuple[int, ...]:
-    return tuple(range(size))
-
-
 def hypercube(n: int, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph:
     """The n-dimensional hypercube: identity bijection at every tree node,
     so adjacency is exactly single-bit-flip on the vertex ids."""
     _check_dimension(n, cap)
     tree: ConstructionTree = _LEAF
     for d in range(2, n + 1):
-        tree = Node(tree, tree, _identity(1 << (d - 1)))
+        tree = Node(tree, tree, tuple(range(1 << (d - 1))))
     return BcGraph(n, materialize(tree, cap=cap), tree)
 
 
@@ -88,7 +84,7 @@ def locally_twisted(n: int, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph:
     for d in range(2, n + 1):
         half = 1 << (d - 1)
         if d == 2:
-            phi = _identity(half)
+            phi = tuple(range(half))
         else:
             flip = 1 << (d - 2)
             phi = tuple(x ^ flip if x & 1 else x for x in range(half))
@@ -148,9 +144,12 @@ def _random_tree(d: int, rng: SplitMix64) -> ConstructionTree:
 
 def build(spec: FamilySpec, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph:
     """Construct the BcGraph a FamilySpec describes."""
-    if spec.kind == "random":
-        return random_bc(spec.dimension, spec.seed, cap=cap)
-    if spec.kind in ("mobius-0", "mobius-1"):
-        return mobius(spec.dimension, int(spec.kind[-1]), cap=cap)
-    constructor = hypercube if spec.kind == "hypercube" else locally_twisted
-    return constructor(spec.dimension, cap=cap)
+    if spec.kind == "hypercube":
+        return hypercube(spec.dimension, cap=cap)
+    if spec.kind == "locally-twisted":
+        return locally_twisted(spec.dimension, cap=cap)
+    if spec.kind == "mobius-0":
+        return mobius(spec.dimension, 0, cap=cap)
+    if spec.kind == "mobius-1":
+        return mobius(spec.dimension, 1, cap=cap)
+    return random_bc(spec.dimension, spec.seed, cap=cap)
