@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     BcGraph,
     ConstructionTree,
@@ -19,7 +21,7 @@ from .core import (
     _check_cap,
     materialize,
 )
-from .rng import SplitMix64
+from .rng import SplitMix64, bounded_draws, check_seed, shuffle_rows
 
 KINDS = ("hypercube", "locally-twisted", "mobius-0", "mobius-1", "random")
 
@@ -127,10 +129,14 @@ def random_bc(n: int, seed: int, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph
     Every tree node independently draws a uniform permutation. The stream
     order is pinned (left subtree, right subtree, then the node's own
     permutation), so equal (n, seed) always yields an identical graph.
+    The draws are made a level at a time from the stream's counter; if any
+    of them is rejected, the tree is drawn again through the scalar stream.
     """
     _check_dimension(n, cap)
-    rng = SplitMix64(seed)
-    tree = _random_tree(n, rng)
+    seed = check_seed(seed)
+    tree = _random_tree_by_level(n, seed)
+    if tree is None:
+        tree = _random_tree(n, SplitMix64(seed))
     return BcGraph(n, materialize(tree, cap=cap), tree)
 
 
@@ -140,6 +146,40 @@ def _random_tree(d: int, rng: SplitMix64) -> ConstructionTree:
     left = _random_tree(d - 1, rng)
     right = _random_tree(d - 1, rng)
     return Node(left, right, rng.permutation(1 << (d - 1)))
+
+
+def _random_tree_by_level(n: int, seed: int) -> ConstructionTree | None:
+    """`_random_tree(n, SplitMix64(seed))` built bottom-up, with each level's
+    draws made together; None when one of them would be rejected."""
+    level: list = [_LEAF] * (1 << (n - 1))
+    for d in range(2, n + 1):
+        size = 1 << (d - 1)
+        counters = _first_counters(n, d)[:, None] + np.arange(size - 1)
+        draws, rejected = bounded_draws(seed, counters, np.arange(size, 1, -1))
+        if rejected:
+            return None
+        kids = iter(level)
+        phis = shuffle_rows(draws)
+        level = [Node(left, right, phi) for left, right, phi in zip(kids, kids, phis)]
+    return level[0]
+
+
+def _first_counters(n: int, d: int) -> np.ndarray:
+    """Stream counter of the first draw of each level-d node, in post-order.
+
+    Node i's subtree ends at vertex V = (i + 1) * 2**d. By then every subtree
+    of the binary decomposition of V is drawn, a dimension-e one making
+    D(e) = (e - 2) * 2**(e - 1) + 1 draws, except the own permutations of
+    node i and of its ancestors up to the level e0 of V's lowest set bit.
+    """
+    v = (np.arange(1 << (n - d), dtype=np.int64) + 1) << d
+    first = np.ones_like(v)
+    for e in range(d, n + 1):
+        first += ((v >> e) & 1) * ((e - 2) * (1 << (e - 1)) + 1)
+    e0 = np.bitwise_count((v & -v) - 1).astype(np.int64)
+    # sum of 2**(l - 1) - 1 over the levels l = d..e0
+    first -= (1 << e0) - (1 << (d - 1)) - (e0 - d + 1)
+    return first
 
 
 def build(spec: FamilySpec, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph:

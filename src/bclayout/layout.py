@@ -150,8 +150,9 @@ def arrangement_cost(graph: Graph, arrangement: LinearArrangement) -> int:
         return 0
     pos = arrangement.positions
     # int64 is exact here: every span < N and M*N stays far below 2**63
-    spans = np.abs(pos[edges[:, 0]] - pos[edges[:, 1]])
-    return int(spans.sum())
+    spans = pos[edges[:, 0]]
+    spans -= pos[edges[:, 1]]
+    return int(np.abs(spans, out=spans).sum())
 
 
 def cut_profile(graph: Graph, arrangement: LinearArrangement) -> CutProfile:
@@ -164,12 +165,11 @@ def cut_profile(graph: Graph, arrangement: LinearArrangement) -> CutProfile:
     pos = arrangement.positions
     pu = pos[edges[:, 0]]
     pv = pos[edges[:, 1]]
-    lo = np.minimum(pu, pv)
-    hi = np.maximum(pu, pv)
-    # An edge crosses cut i exactly when lo <= i < hi, so the running sum of
-    # (#edges starting at i) - (#edges ending at i) is the crossing count.
-    starts = np.bincount(lo, minlength=n + 1)
-    stops = np.bincount(hi, minlength=n + 1)
+    # An edge crosses cut i exactly when min <= i < max of its positions, so
+    # the running sum of (#edges starting at i) - (#edges ending at i) is the
+    # crossing count. At most three M-length arrays are alive at once.
+    stops = np.bincount(np.maximum(pu, pv), minlength=n + 1)
+    starts = np.bincount(np.minimum(pu, pv, out=pu), minlength=n + 1)
     running = np.cumsum(starts - stops)
     return CutProfile(tuple(running[1:n].tolist()))
 

@@ -4,7 +4,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bclayout import (
@@ -21,7 +21,9 @@ from bclayout import (
     validate,
 )
 from bclayout import families
+from bclayout.core import materialize
 from bclayout.formats import GraphDocument, dump_graph_json, load_graph_json
+from bclayout.rng import _GAMMA, _MIX1, _MIX2, SplitMix64, bounded_draws
 
 
 def all_members(n, seeds=(1, 2)):
@@ -64,6 +66,22 @@ def test_cap_above_ceiling_is_rejected_before_any_tree_is_built(monkeypatch):
         hypercube(3, cap=27)
     with pytest.raises(ValueError, match="cap must be"):
         random_bc(3, 1, cap=27)
+
+
+def test_random_bc_checks_dimension_cap_and_seed_before_any_draw(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a draw was made")
+
+    monkeypatch.setattr(families, "bounded_draws", no_draws)
+    monkeypatch.setattr(families, "Node", no_draws)
+    with pytest.raises(DimensionCapError):
+        random_bc(30, 1)
+    with pytest.raises(ValueError, match="cap must be"):
+        random_bc(3, 1, cap=27)
+    for n in (1, 3):
+        for seed in (-1, 1 << 64, True, 3.0):
+            with pytest.raises(ValueError, match="seed"):
+                random_bc(n, seed)
 
 
 def test_locally_twisted_small_cases():
@@ -168,3 +186,57 @@ def test_families_build_in_canonical_order_without_sorting(monkeypatch):
     text = io.StringIO()
     dump_graph_json(GraphDocument.from_bc(bc), text)
     assert load_graph_json(io.StringIO(text.getvalue())).graph == bc.graph
+
+
+MASK = (1 << 64) - 1
+
+
+@given(st.integers(1, 10), st.integers(0, MASK))
+@example(1, 0)
+@example(10, 0)
+@example(10, MASK)
+@settings(max_examples=60)
+def test_random_bc_matches_the_scalar_stream(n, seed):
+    reference = families._random_tree(n, SplitMix64(seed))
+    bc = random_bc(n, seed)
+    assert bc.tree == reference
+    assert bc.graph == materialize(reference)
+
+
+def _unxorshift(y, shift):
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def _unmix(z):
+    """The state whose SplitMix64 output is z: the finalizer run backwards."""
+    z = _unxorshift(z, 31) * pow(_MIX2, -1, 1 << 64) & MASK
+    z = _unxorshift(z, 27) * pow(_MIX1, -1, 1 << 64) & MASK
+    return _unxorshift(z, 30)
+
+
+def test_rejected_draw_falls_back_to_the_scalar_stream(monkeypatch):
+    # random_bc(3, .) draws with bounds 2, 2, 4, 3, 2; draw 4 has bound 3, and
+    # this seed makes it 2**64 - 1, which 3 does not divide into evenly
+    seed = (_unmix(MASK) - 4 * _GAMMA) & MASK
+    assert seed == 6249903136257981804
+    stream = SplitMix64(seed)
+    draws = [stream.next_u64() for _ in range(4)]
+    # randbelow(3) accepts only draws below 3 * (2**64 // 3) = 2**64 - 1
+    assert draws[3] == MASK >= ((1 << 64) // 3) * 3
+    assert bounded_draws(seed, np.array([4]), np.array([3]))[1]
+    calls = []
+    scalar = families._random_tree
+
+    def counted(d, rng):
+        calls.append(d)
+        return scalar(d, rng)
+
+    monkeypatch.setattr(families, "_random_tree", counted)
+    bc = random_bc(3, seed)
+    assert calls[0] == 3
+    assert bc.tree == scalar(3, SplitMix64(seed))
+    assert bc.tree.phi == (2, 0, 3, 1)
+    assert validate(bc).ok

@@ -1,8 +1,11 @@
 """Pinned-generator regression tests: the stream must never drift."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from bclayout.rng import SplitMix64
+from bclayout.rng import _GAMMA, SplitMix64, bounded_draws, shuffle_rows
 
 # Published SplitMix64 reference outputs for seed 0; any change to the
 # constants or the mixing steps breaks these.
@@ -32,6 +35,13 @@ def test_seed_range_enforced():
     with pytest.raises(ValueError):
         SplitMix64(1 << 64)
     SplitMix64((1 << 64) - 1)  # max value is fine
+
+
+def test_seed_must_be_a_non_bool_integer():
+    for seed in (True, False, 3.0, "3", None):
+        with pytest.raises(ValueError):
+            SplitMix64(seed)
+    assert SplitMix64(np.uint64(5)).next_u64() == SplitMix64(5).next_u64()
 
 
 def test_randbelow_bounds():
@@ -64,3 +74,63 @@ def test_shuffle_produces_both_orders_of_a_pair():
         SplitMix64(seed).shuffle(items)
         orders.add(tuple(items))
     assert orders == {(0, 1), (1, 0)}
+
+
+MASK = (1 << 64) - 1
+# bounds just above 2**63 reject almost half their draws; powers of two none
+BOUNDS = st.one_of(
+    st.integers(1, MASK),
+    st.integers((1 << 63) + 1, (1 << 63) + 1000),
+    st.integers(0, 63).map(lambda e: 1 << e),
+)
+
+
+@given(
+    st.integers(0, MASK),
+    st.lists(st.tuples(st.integers(0, MASK), BOUNDS), min_size=1, max_size=20),
+)
+@example(0, [(1, 2), (MASK, 3), (0, 1 << 63)])
+@example(MASK, [(2, (1 << 63) + 1), (3, (1 << 63) + 1), (4, 1 << 40)])
+def test_bounded_draws_match_the_scalar_stream(seed, pairs):
+    counters, bounds = zip(*pairs)
+    values, rejected = bounded_draws(
+        seed, np.array(counters, dtype=np.uint64), np.array(bounds, dtype=np.uint64)
+    )
+    any_rejected = False
+    for k, b, value in zip(counters, bounds, values.tolist()):
+        # draw k mixes the state seed + k * gamma
+        start = (seed + (k - 1) * _GAMMA) & MASK
+        z = SplitMix64(start).next_u64()
+        assert value == z % b
+        if z >= ((1 << 64) // b) * b:
+            any_rejected = True
+            assert b & (b - 1)
+        else:
+            assert SplitMix64(start).randbelow(b) == value
+    assert rejected == any_rejected
+
+
+@pytest.mark.filterwarnings("error")
+def test_bounded_draws_report_a_likely_rejection():
+    bound = np.full(64, (1 << 63) + 1, dtype=np.uint64)
+    _, rejected = bounded_draws(7, np.arange(1, 65, dtype=np.uint64), bound)
+    assert rejected
+    _, rejected = bounded_draws(7, np.arange(1, 65, dtype=np.uint64), bound - 1)
+    assert not rejected
+    # scalar operands wrap silently too
+    b = (1 << 63) + 1
+    value, rejected = bounded_draws(MASK, MASK, b)
+    z = SplitMix64((MASK + (MASK - 1) * _GAMMA) & MASK).next_u64()
+    assert (value, rejected) == (z % b, z >= ((1 << 64) // b) * b)
+
+
+@pytest.mark.parametrize("count", [1, 3, 64, 200])
+@pytest.mark.parametrize("size", [2, 5, 16])
+def test_shuffle_rows_matches_permutation(count, size):
+    # both paths of shuffle_rows, fed the draws permutation() makes
+    seed = count * 100 + size
+    rng = SplitMix64(seed)
+    draws = [[rng.randbelow(i + 1) for i in range(size - 1, 0, -1)] for _ in range(count)]
+    rng = SplitMix64(seed)
+    expected = [list(rng.permutation(size)) for _ in range(count)]
+    assert list(shuffle_rows(np.array(draws, dtype=np.uint64))) == expected
