@@ -13,7 +13,7 @@ import sys
 from contextlib import contextmanager
 
 from . import families, formats, verify
-from .core import DEFAULT_DIMENSION_CAP, DimensionCapError, validate
+from .core import DEFAULT_DIMENSION_CAP, DimensionCapError, _check_cap, validate
 from .isoperimetric import EnumerationLimitError
 from .layout import (
     BRANCH_AND_BOUND_VERTEX_LIMIT,
@@ -210,8 +210,10 @@ def _cmd_eval(args, out, err) -> int:
 
 def _cmd_certify(args, out, err) -> int:
     bc, trusted = _bc_from_args(args)
-    if not trusted and not _witness_is_valid(bc, err):
-        return 1
+    if not trusted:
+        _check_cap(bc.dimension, args.cap)  # before validate re-materializes
+        if not _witness_is_valid(bc, err):
+            return 1
     report = certify(bc)
     _emit_report(report, args, out)
     return 0 if report.optimal else 1
@@ -223,8 +225,7 @@ def _emit_report(report, args, out) -> None:
             for line in formats.format_report_lines(report):
                 fp.write(line + "\n")
         else:
-            json.dump(formats.report_to_json_dict(report), fp)
-            fp.write("\n")
+            fp.write(json.dumps(formats.report_to_json_dict(report)) + "\n")
 
 
 def _cmd_solve(args, out, err) -> int:
@@ -249,8 +250,7 @@ def _cmd_solve(args, out, err) -> int:
         "positions": result.arrangement.to_list(),
     }
     with _open_out(args.output, out) as fp:
-        json.dump(payload, fp)
-        fp.write("\n")
+        fp.write(json.dumps(payload) + "\n")
     print(f"search took {result.elapsed_seconds:.3f}s", file=err)
     if not result.proven:
         print("budget exhausted: result not proven optimal", file=err)

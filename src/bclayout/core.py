@@ -66,6 +66,9 @@ def check_permutation(values, size: int) -> tuple[int, ...]:
 
 
 def _check_cap(dimension: int, cap: int) -> None:
+    """The dimension policy, checked where a dimension enters the program."""
+    if dimension < 1:
+        raise ValueError("dimension must be at least 1")
     if not 1 <= cap <= MAX_DIMENSION_CAP:
         raise ValueError(f"cap must be in 1..{MAX_DIMENSION_CAP}")
     if dimension > cap:
@@ -96,15 +99,16 @@ class Graph:
                 raise ValueError("edges must be pairs of vertex ids")
             if not np.issubdtype(raw.dtype, np.integer):
                 raise ValueError("edge endpoints must be integers")
-            arr = raw.astype(np.int64, copy=True)
+            # copy only an array the caller can still write to
+            arr = raw.astype(np.int64, copy=raw is edges and raw.flags.writeable)
             lo, hi = arr[:, 0], arr[:, 1]
             if arr.min() < 0 or arr.max() >= vertex_count:
                 raise ValueError("edge endpoint out of range")
             if (lo == hi).any():
                 raise ValueError("self-loops are not allowed")
-            flip = lo > hi
-            if flip.any():
-                lo[flip], hi[flip] = hi[flip], lo[flip]
+            if (lo > hi).any():
+                arr = np.sort(arr, axis=1)
+                lo, hi = arr[:, 0], arr[:, 1]
             # materialized graphs and saved edge lists arrive sorted
             if not _strictly_increasing(lo, hi):
                 arr = arr[np.lexsort((hi, lo))]
@@ -222,7 +226,7 @@ class BcGraph:
     tree: ConstructionTree
 
 
-def materialize(tree: ConstructionTree, *, cap: int = DEFAULT_DIMENSION_CAP) -> Graph:
+def materialize(tree: ConstructionTree) -> Graph:
     """Build the concrete graph described by a construction tree.
 
     One pass over the levels d = n..1 writes each level's matching edges
@@ -230,10 +234,12 @@ def materialize(tree: ConstructionTree, *, cap: int = DEFAULT_DIMENSION_CAP) -> 
     after the n - popcount(w) upper neighbours of every w < u, and the
     level-d edge follows one row per zero bit of u below bit d-1 (see the
     module docstring), so Graph finds the rows sorted. Each distinct subtree
-    at a level is read once and broadcast over the blocks it fills.
+    at a level is read once and broadcast over the blocks it fills. Raises
+    DimensionCapError above MAX_DIMENSION_CAP; a smaller cap is the caller's.
     """
-    _check_cap(tree.dimension, cap)
     n = tree.dimension
+    if n > MAX_DIMENSION_CAP:
+        raise DimensionCapError(f"dimension {n} exceeds the ceiling {MAX_DIMENSION_CAP}")
     upper = n - np.bitwise_count(np.arange(1 << n)).astype(np.int64)
     first = np.cumsum(upper) - upper
     edges = np.empty((n << (n - 1), 2), dtype=np.int64)
@@ -255,6 +261,7 @@ def materialize(tree: ConstructionTree, *, cap: int = DEFAULT_DIMENSION_CAP) -> 
             )
             nodes = [kids[i] for i in firsts]
             which = kid_of.reshape(-1, 2)[which].ravel()
+    edges.setflags(write=False)  # so Graph adopts it without a copy
     return Graph(1 << n, edges)
 
 
@@ -270,7 +277,7 @@ def compose(g1: BcGraph, g2: BcGraph, phi) -> BcGraph:
             f"cannot compose dimensions {g1.dimension} and {g2.dimension}"
         )
     tree = Node(g1.tree, g2.tree, tuple(phi))
-    return BcGraph(tree.dimension, materialize(tree, cap=MAX_DIMENSION_CAP), tree)
+    return BcGraph(tree.dimension, materialize(tree), tree)
 
 
 @dataclass(frozen=True)
@@ -310,7 +317,7 @@ def validate(bc: BcGraph) -> ValidationReport:
         violations.append(f"not {n}-regular: {sample}{more}")
     if bc.tree.dimension == n:
         if n <= MAX_DIMENSION_CAP:
-            rebuilt = materialize(bc.tree, cap=n)
+            rebuilt = materialize(bc.tree)
             if rebuilt != bc.graph:
                 violations.append(
                     "graph edges differ from those generated by the construction tree"

@@ -59,20 +59,14 @@ class FamilySpec:
         return cls(obj.get("family"), obj.get("n"), obj.get("seed"))
 
 
-def _check_dimension(n: int, cap: int) -> None:
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    _check_cap(n, cap)
-
-
 def hypercube(n: int, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph:
     """The n-dimensional hypercube: identity bijection at every tree node,
     so adjacency is exactly single-bit-flip on the vertex ids."""
-    _check_dimension(n, cap)
+    _check_cap(n, cap)
     tree: ConstructionTree = _LEAF
     for d in range(2, n + 1):
         tree = Node(tree, tree, tuple(range(1 << (d - 1))))
-    return BcGraph(n, materialize(tree, cap=cap), tree)
+    return BcGraph(n, materialize(tree), tree)
 
 
 def locally_twisted(n: int, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph:
@@ -81,7 +75,7 @@ def locally_twisted(n: int, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph:
     Dimension 2 joins with the identity; dimension d >= 3 joins with
     phi(x) = x with bit (d-2) flipped whenever bit 0 of x is set.
     """
-    _check_dimension(n, cap)
+    _check_cap(n, cap)
     tree: ConstructionTree = _LEAF
     for d in range(2, n + 1):
         half = 1 << (d - 1)
@@ -91,7 +85,7 @@ def locally_twisted(n: int, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph:
             flip = 1 << (d - 2)
             phi = tuple(x ^ flip if x & 1 else x for x in range(half))
         tree = Node(tree, tree, phi)
-    return BcGraph(n, materialize(tree, cap=cap), tree)
+    return BcGraph(n, materialize(tree), tree)
 
 
 def mobius(n: int, variant: int, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph:
@@ -104,9 +98,9 @@ def mobius(n: int, variant: int, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph
     """
     if variant not in (0, 1):
         raise ValueError("variant must be 0 or 1")
-    _check_dimension(n, cap)
+    _check_cap(n, cap)
     tree = _mobius_tree(n, variant)
-    return BcGraph(n, materialize(tree, cap=cap), tree)
+    return BcGraph(n, materialize(tree), tree)
 
 
 def _mobius_tree(n: int, variant: int) -> ConstructionTree:
@@ -132,12 +126,12 @@ def random_bc(n: int, seed: int, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph
     The draws are made a level at a time from the stream's counter; if any
     of them is rejected, the tree is drawn again through the scalar stream.
     """
-    _check_dimension(n, cap)
+    _check_cap(n, cap)
     seed = check_seed(seed)
     tree = _random_tree_by_level(n, seed)
     if tree is None:
         tree = _random_tree(n, SplitMix64(seed))
-    return BcGraph(n, materialize(tree, cap=cap), tree)
+    return BcGraph(n, materialize(tree), tree)
 
 
 def _random_tree(d: int, rng: SplitMix64) -> ConstructionTree:
@@ -167,18 +161,16 @@ def _random_tree_by_level(n: int, seed: int) -> ConstructionTree | None:
 def _first_counters(n: int, d: int) -> np.ndarray:
     """Stream counter of the first draw of each level-d node, in post-order.
 
-    Node i's subtree ends at vertex V = (i + 1) * 2**d. By then every subtree
-    of the binary decomposition of V is drawn, a dimension-e one making
-    D(e) = (e - 2) * 2**(e - 1) + 1 draws, except the own permutations of
-    node i and of its ancestors up to the level e0 of V's lowest set bit.
+    A dimension-e subtree makes D(e) = (e - 2) * 2**(e - 1) + 1 draws. Node
+    i's subtree starts at vertex i * 2**d, so the subtrees drawn before it
+    are the binary decomposition of i * 2**d, and its own draws follow its
+    two children's: first = 1 + 2 * D(d - 1) + the sum of D(e) over the set
+    bits e of i * 2**d.
     """
-    v = (np.arange(1 << (n - d), dtype=np.int64) + 1) << d
-    first = np.ones_like(v)
-    for e in range(d, n + 1):
+    v = np.arange(1 << (n - d), dtype=np.int64) << d
+    first = np.full_like(v, 1 + 2 * ((d - 3) * (1 << (d - 2)) + 1))
+    for e in range(d, n):
         first += ((v >> e) & 1) * ((e - 2) * (1 << (e - 1)) + 1)
-    e0 = np.bitwise_count((v & -v) - 1).astype(np.int64)
-    # sum of 2**(l - 1) - 1 over the levels l = d..e0
-    first -= (1 << e0) - (1 << (d - 1)) - (e0 - d + 1)
     return first
 
 

@@ -43,9 +43,7 @@ def tree_from_json_obj(obj) -> ConstructionTree:
         phi = obj["phi"]
     except KeyError as exc:
         raise ValueError(f"tree node is missing key {exc}") from exc
-    if not isinstance(phi, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in phi
-    ):
+    if not isinstance(phi, list):  # Node rejects non-integer entries
         raise ValueError("phi must be a list of integers")
     return Node(tree_from_json_obj(left), tree_from_json_obj(right), tuple(phi))
 
@@ -77,8 +75,8 @@ def dump_graph_json(doc: GraphDocument, fp: IO[str]) -> None:
     }
     if doc.tree is not None:
         data["tree"] = tree_to_json_obj(doc.tree)
-    json.dump(data, fp, separators=(",", ":"))
-    fp.write("\n")
+    # json.dumps encodes in C; json.dump would format every element in Python
+    fp.write(json.dumps(data, separators=(",", ":")) + "\n")
 
 
 def load_graph_json(fp: IO[str]) -> GraphDocument:

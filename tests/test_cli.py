@@ -6,6 +6,7 @@ import json
 import pytest
 
 from bclayout import edge_boundary, hypercube
+from bclayout import cli
 from bclayout.cli import run
 from bclayout.formats import load_graph_json
 
@@ -47,6 +48,19 @@ def test_build_no_tree_flag():
 
 def test_build_above_cap_is_resource_error():
     status, _, err = invoke("build", "--family", "hypercube", "-n", "26")
+    assert status == 3
+    assert "cap" in err
+
+
+def test_certify_input_above_cap_is_resource_error(tmp_path, monkeypatch):
+    gpath = tmp_path / "g.json"
+    assert invoke("build", "--family", "hypercube", "-n", "5", "-o", str(gpath))[0] == 0
+
+    def no_validate(bc):
+        raise AssertionError("the witness was validated")
+
+    monkeypatch.setattr(cli, "validate", no_validate)
+    status, _, err = invoke("certify", "-i", str(gpath), "--cap", "3")
     assert status == 3
     assert "cap" in err
 
@@ -283,6 +297,8 @@ def test_boolean_phi_entries_are_input_error(tmp_path):
         '{"dimension":2,"edges":[[0,1],[0,2],[1,3],[2,3]],"tree":'
         '{"left":{"leaf":true},"right":{"leaf":true},"phi":[false,true]}}'
     )
+    assert_input_error("certify", "-i", str(gpath))
+    gpath.write_text(gpath.read_text().replace("[false,true]", "[0,1.5]"))
     assert_input_error("certify", "-i", str(gpath))
 
 

@@ -10,12 +10,14 @@ from bclayout import (
     DimensionCapError,
     Graph,
     Leaf,
+    MAX_DIMENSION_CAP,
     Node,
     compose,
     hypercube,
     materialize,
     validate,
 )
+from bclayout import core
 from bclayout.core import check_permutation
 
 
@@ -121,6 +123,17 @@ def test_edge_array_is_read_only():
     g = Graph(3, [(0, 1)])
     with pytest.raises(ValueError):
         g.edge_array[0, 0] = 2
+
+
+def test_graph_adopts_only_frozen_arrays():
+    frozen = np.array([[0, 1], [0, 2], [1, 3]], dtype=np.int64)
+    frozen.setflags(write=False)
+    assert np.shares_memory(Graph(4, frozen).edge_array, frozen)
+    writable = frozen.copy()
+    g = Graph(4, writable)
+    assert not np.shares_memory(g.edge_array, writable)
+    writable[0] = (2, 3)
+    assert g.edge_array.tolist() == [[0, 1], [0, 2], [1, 3]]
 
 
 # ------------------------------------------------------------- trees
@@ -232,13 +245,17 @@ def test_materialize_emits_canonical_rows(tree, rnd):
     assert g == Graph(1 << tree.dimension, flipped)
 
 
-def test_materialize_respects_cap():
-    tree = hypercube(4).tree
-    with pytest.raises(DimensionCapError):
-        materialize(tree, cap=3)
-    materialize(tree, cap=4)
-    with pytest.raises(ValueError):
-        materialize(tree, cap=99)  # above the hard ceiling
+def test_materialize_rejects_dimensions_above_the_ceiling(monkeypatch):
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} used before the ceiling check")
+
+    class StubTree:
+        dimension = MAX_DIMENSION_CAP + 1
+
+    monkeypatch.setattr(core, "np", NoNumpy())
+    with pytest.raises(DimensionCapError, match="ceiling"):
+        materialize(StubTree())
 
 
 # ------------------------------------------------------------- compose

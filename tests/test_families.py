@@ -62,6 +62,8 @@ def test_cap_above_ceiling_is_rejected_before_any_tree_is_built(monkeypatch):
         raise AssertionError("a tree node was built")
 
     monkeypatch.setattr(families, "Node", no_nodes)
+    with pytest.raises(DimensionCapError):
+        hypercube(7, cap=6)
     with pytest.raises(ValueError, match="cap must be"):
         hypercube(3, cap=27)
     with pytest.raises(ValueError, match="cap must be"):
