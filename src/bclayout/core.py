@@ -81,11 +81,10 @@ class Graph:
     """Immutable undirected graph on vertex ids 0..N-1.
 
     Edges are held as a read-only (M, 2) int64 array with u < v in each row,
-    rows sorted lexicographically. No self-loops, no duplicates. Adjacency
-    sets are derived lazily; avoid them for very large graphs.
+    rows sorted lexicographically. No self-loops, no duplicates.
     """
 
-    __slots__ = ("vertex_count", "_edges", "_adjacency")
+    __slots__ = ("vertex_count", "_edges")
 
     def __init__(self, vertex_count: int, edges=()):
         vertex_count = operator.index(vertex_count)
@@ -117,7 +116,6 @@ class Graph:
         arr.setflags(write=False)
         self.vertex_count = vertex_count
         self._edges = arr
-        self._adjacency = None
 
     @property
     def edge_count(self) -> int:
@@ -138,16 +136,6 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         return np.bincount(self._edges.ravel(), minlength=self.vertex_count)
-
-    def adjacency(self) -> tuple[frozenset, ...]:
-        """Per-vertex neighbor sets. Built on first use and cached."""
-        if self._adjacency is None:
-            neigh = [set() for _ in range(self.vertex_count)]
-            for u, v in self.iter_edges():
-                neigh[u].add(v)
-                neigh[v].add(u)
-            self._adjacency = tuple(frozenset(s) for s in neigh)
-        return self._adjacency
 
     def adjacency_masks(self) -> list[int]:
         """Neighbor sets as integer bitmasks, for subset enumeration."""

@@ -107,35 +107,37 @@ class SubsetWitness:
 def brute_force_max_induced(graph: Graph, m: int) -> SubsetWitness:
     """Exhaustive search for an m-subset inducing the most edges."""
     _check_subset_args(graph, m)
-    induced, _, pop = _subset_tables(graph)
-    sel = np.flatnonzero(pop == m)
-    best = int(sel[np.argmax(induced[sel])])
-    return _witness(graph, best)
+    induced, _ = _subset_tables(graph)
+    sel = np.flatnonzero(np.bitwise_count(np.arange(induced.size, dtype=np.uint32)) == m)
+    return _witness(graph, int(sel[np.argmax(induced[sel])]))
 
 
 def brute_force_min_boundary(graph: Graph, m: int) -> SubsetWitness:
     """Exhaustive search for an m-subset with the smallest edge boundary."""
     _check_subset_args(graph, m)
-    induced, degsum, pop = _subset_tables(graph)
-    boundary = degsum - 2 * induced
-    sel = np.flatnonzero(pop == m)
-    best = int(sel[np.argmin(boundary[sel])])
-    return _witness(graph, best)
+    _, boundary = _subset_tables(graph)
+    sel = np.flatnonzero(np.bitwise_count(np.arange(boundary.size, dtype=np.uint32)) == m)
+    return _witness(graph, int(sel[np.argmin(boundary[sel])]))
 
 
 def brute_force_tables(graph: Graph) -> tuple[list[int], list[int]]:
     """Exact (max induced edges, min edge boundary) for every size 0..N.
 
-    One pass over all 2**N subsets fills both tables simultaneously.
+    Both come from one histogram per table over (subset size, value) keys,
+    read a row of the subset lattice at a time: rows are aligned, so a
+    subset's size is its row's popcount plus its column's.
     """
-    induced, degsum, pop = _subset_tables(graph)
-    boundary = degsum - 2 * induced
-    induced_max: list[int] = []
-    boundary_min: list[int] = []
-    for m in range(graph.vertex_count + 1):
-        sel = pop == m
-        induced_max.append(int(induced[sel].max()))
-        boundary_min.append(int(boundary[sel].min()))
+    induced, boundary = _subset_tables(graph)
+    n, width = graph.vertex_count, graph.edge_count + 1
+    cols = min(induced.size, _ROW)
+    offsets = np.bitwise_count(np.arange(cols, dtype=np.uint32)).astype(np.intp) * width
+    hist = np.zeros((2, n + 1, width), dtype=np.int64)
+    for table, counts in zip((induced, boundary), hist.reshape(2, -1)):
+        for r, row in enumerate(table.reshape(-1, cols)):
+            counts += np.bincount(offsets + row + r.bit_count() * width, minlength=counts.size)
+    seen = hist > 0
+    induced_max = (width - 1 - seen[0, :, ::-1].argmax(axis=1)).tolist()
+    boundary_min = seen[1].argmax(axis=1).tolist()
     return induced_max, boundary_min
 
 
@@ -153,30 +155,45 @@ def _check_subset_args(graph: Graph, m: int) -> None:
         raise ValueError(f"subset size must be in 1..{graph.vertex_count}")
 
 
-def _subset_tables(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Induced-edge count, degree sum, and popcount for every vertex subset.
+# Row length of the subset lattice's (2**N / _ROW, _ROW) view.
+_ROW = 1 << 16
 
-    Subsets are encoded as bitmasks 0..2**N-1 and processed in one pass with
-    the recurrence I(S) = I(S - v) + |adj(v) & (S - v)| for v the lowest bit.
+
+def _subset_tables(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Induced-edge count and edge boundary of every vertex subset.
+
+    Subsets are bitmasks 0..2**N-1, and entry S of each int16 table holds
+    S's value (both are at most the edge count, 276 at 24 vertices). The
+    subsets containing v are those of bits 0..v-1 with v added, so step v
+    fills the upper half [h, 2h), h = 2**v, from the lower half in place:
+    I(S + v) = I(S) + |adj(v) & S| and B(S + v) = B(S) + deg(v) - 2|adj(v) & S|.
+    Viewed as rows of at most _ROW subsets, |adj(v) & S| is the popcount of
+    the column's bits plus that of the row's, so no step allocates more
+    than one row.
     """
     n = graph.vertex_count
     _check_enumerable(n)
-    masks = np.array(graph.adjacency_masks(), dtype=np.uint32)
-    degrees = graph.degrees().astype(np.int32)
+    masks = graph.adjacency_masks()
+    degrees = graph.degrees().tolist()
     size = 1 << n
-    induced = np.zeros(size, dtype=np.int32)
-    degsum = np.zeros(size, dtype=np.int32)
-    pop = np.zeros(size, dtype=np.uint8)
-    # Descending v keeps the dependency order: every `rest` index has its
-    # lowest set bit above v, so it was filled by an earlier iteration.
-    for v in range(n - 1, -1, -1):
-        bit = 1 << v
-        rest = np.arange(0, size, bit << 1, dtype=np.uint32)
-        with_v = rest | np.uint32(bit)
-        induced[with_v] = induced[rest] + np.bitwise_count(masks[v] & rest).astype(np.int32)
-        degsum[with_v] = degsum[rest] + degrees[v]
-        pop[with_v] = pop[rest] + np.uint8(1)
-    return induced, degsum, pop
+    induced = np.zeros(size, dtype=np.int16)
+    boundary = np.zeros(size, dtype=np.int16)
+    index = np.arange(min(size, _ROW), dtype=np.uint32)
+    for v in range(n):
+        h = 1 << v
+        cols = min(h, _ROW)
+        mask = masks[v] & (h - 1)
+        col = np.bitwise_count(index[:cols] & (mask % cols)).astype(np.int16)
+        row = np.bitwise_count(index[:h // cols] & (mask // cols)).astype(np.int16)[:, None]
+        for table, col_step, row_step in (
+            (induced, col, row),
+            (boundary, degrees[v] - 2 * col, -2 * row),
+        ):
+            upper = table[h:2 * h].reshape(-1, cols)
+            np.add(table[:h].reshape(-1, cols), col_step, out=upper)
+            if h > cols:
+                upper += row_step
+    return induced, boundary
 
 
 def _witness(graph: Graph, subset_mask: int) -> SubsetWitness:

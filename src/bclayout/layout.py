@@ -74,9 +74,6 @@ class LinearArrangement:
         """Read-only array; entry v holds the position of vertex v."""
         return self._positions
 
-    def position_of(self, vertex: int) -> int:
-        return int(self._positions[vertex])
-
     def to_list(self) -> list[int]:
         return self._positions.tolist()
 
@@ -289,7 +286,7 @@ def _solve_exhaustive(graph, incumbent):
 def _solve_branch_and_bound(graph, incumbent, budget_seconds):
     n = graph.vertex_count
     masks = graph.adjacency_masks()
-    degrees = [int(d) for d in graph.degrees()]
+    degrees = graph.degrees().tolist()
     _, boundary_min = brute_force_tables(graph)
     # rest[k]: least possible crossing total of cuts k+1..n-1, any completion
     rest = [0] * (n + 1)
@@ -299,30 +296,31 @@ def _solve_branch_and_bound(graph, incumbent, budget_seconds):
     best_positions = incumbent.to_list()
     anchor_limit = (n + 1) // 2  # mirror-canonical: vertex 0 in the first half
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
-    state = {"nodes": 0, "cost": best_cost, "positions": best_positions}
+    nodes = 0
     order: list[int] = []  # order[k] is the vertex placed at position k+1
+    vertices = [(v, 1 << v, degrees[v], masks[v]) for v in range(n)]
 
     def search(placed: int, k: int, cut_sum: int, boundary: int) -> None:
-        state["nodes"] += 1
+        nonlocal nodes, best_cost, best_positions
+        nodes += 1
         if deadline is not None and time.monotonic() > deadline:
             raise _BudgetExhausted
         if k == n:
-            if cut_sum < state["cost"]:
-                state["cost"] = cut_sum
-                positions = [0] * n
+            if cut_sum < best_cost:
+                best_cost = cut_sum
+                best_positions = [0] * n
                 for idx, v in enumerate(order):
-                    positions[v] = idx + 1
-                state["positions"] = positions
+                    best_positions[v] = idx + 1
             return
         if k >= anchor_limit and not placed & 1:
             return
-        for v in range(n):
-            bit = 1 << v
+        tail = rest[k + 1]
+        for v, bit, degree, mask in vertices:
             if placed & bit:
                 continue
-            next_boundary = boundary + degrees[v] - 2 * (masks[v] & placed).bit_count()
+            next_boundary = boundary + degree - 2 * (mask & placed).bit_count()
             next_cut_sum = cut_sum + next_boundary
-            if next_cut_sum + rest[k + 1] >= state["cost"]:
+            if next_cut_sum + tail >= best_cost:
                 continue
             order.append(v)
             search(placed | bit, k + 1, next_cut_sum, next_boundary)
@@ -333,12 +331,7 @@ def _solve_branch_and_bound(graph, incumbent, budget_seconds):
         proven = True
     except _BudgetExhausted:
         proven = False
-    return (
-        state["cost"],
-        LinearArrangement(state["positions"]),
-        proven,
-        state["nodes"],
-    )
+    return best_cost, LinearArrangement(best_positions), proven, nodes
 
 
 def certify(bc: BcGraph) -> LayoutReport:

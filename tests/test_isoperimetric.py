@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bclayout import (
+    ENUMERATION_LIMIT,
     EnumerationLimitError,
     Graph,
     binary_decomposition,
@@ -163,6 +164,37 @@ def test_sum_matches_literal_python_summation(n):
 )
 def test_bitmask_enumeration_matches_combinations_oracle(graph):
     assert brute_force_tables(graph) == combo_tables(graph)
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs of 1..10 vertices, from no edges to complete, isolated
+    vertices included."""
+    n = draw(st.integers(1, 10))
+    pairs = list(itertools.combinations(range(n), 2))
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+
+@given(small_graphs())
+@settings(max_examples=150)
+def test_subset_oracles_match_combinations_oracle(graph):
+    induced_tab, boundary_tab = combo_tables(graph)
+    assert brute_force_tables(graph) == (induced_tab, boundary_tab)
+    for m in range(1, graph.vertex_count + 1):
+        wmax = brute_force_max_induced(graph, m)
+        assert len(wmax.vertices) == m
+        assert wmax.induced_edge_count == induced_tab[m]
+        wmin = brute_force_min_boundary(graph, m)
+        assert len(wmin.vertices) == m
+        assert wmin.boundary_edge_count == boundary_tab[m]
+
+
+def test_complete_graph_at_the_enumeration_limit():
+    # the densest graph the tables accept: every value must fit their dtype
+    n = ENUMERATION_LIMIT
+    induced_tab, boundary_tab = brute_force_tables(complete_graph(n))
+    assert induced_tab == [m * (m - 1) // 2 for m in range(n + 1)]
+    assert boundary_tab == [m * (n - m) for m in range(n + 1)]
 
 
 def test_witnesses_attain_table_values():

@@ -68,7 +68,7 @@ def test_arrangement_rejects_non_integer_positions():
 def test_arrangement_helpers():
     f = LinearArrangement.identity(4)
     assert f.to_list() == [1, 2, 3, 4]
-    assert f.position_of(2) == 3
+    assert f.positions[2] == 3
     assert f.reverse().to_list() == [4, 3, 2, 1]
     assert f.reverse().reverse() == f
     assert len(f) == 4

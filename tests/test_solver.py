@@ -109,3 +109,18 @@ def test_search_is_deterministic():
     assert a.cost == b.cost
     assert a.nodes_explored == b.nodes_explored
     assert a.arrangement == b.arrangement
+
+
+@pytest.mark.parametrize(
+    "seed,cost,nodes,positions",
+    [
+        (1, 43, 22538, [5, 2, 11, 7, 10, 4, 12, 3, 8, 9, 1, 6]),
+        (2, 54, 14983, [6, 1, 8, 10, 7, 3, 5, 11, 2, 4, 9, 12]),
+    ],
+)
+def test_branch_and_bound_search_order_is_pinned(seed, cost, nodes, positions):
+    # the node count and the first optimum found change with the child order,
+    # the pruning test or the anchor rule, even when the cost does not
+    result = minla_exact(random_graph(12, seed, density=1), "branch-and-bound")
+    assert (result.cost, result.nodes_explored) == (cost, nodes)
+    assert result.arrangement.to_list() == positions

@@ -59,6 +59,10 @@ def main(argv: list[str]) -> int:
         seeds = sorted(s for w, s in parent if w == name and (w, s) in change)
         if not seeds:
             continue
+        if len(seeds) < 2:
+            print(f"workload {name}: {len(seeds)} paired run; quartiles need at least two",
+                  file=sys.stderr)
+            return 2
         pairs = [(parent[name, s], change[name, s]) for s in seeds]
         wins = {}
         for metric, spec in metrics.items():
