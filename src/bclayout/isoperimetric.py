@@ -24,6 +24,8 @@ import numpy as np
 from .core import Graph
 
 ENUMERATION_LIMIT = 24
+# Row length of the subset lattice's (2**N / _ROW, _ROW) view.
+_ROW = 1 << 16
 
 
 class EnumerationLimitError(ValueError):
@@ -153,10 +155,6 @@ def _check_subset_args(graph: Graph, m: int) -> None:
     _check_enumerable(graph.vertex_count)
     if not 1 <= m <= graph.vertex_count:
         raise ValueError(f"subset size must be in 1..{graph.vertex_count}")
-
-
-# Row length of the subset lattice's (2**N / _ROW, _ROW) view.
-_ROW = 1 << 16
 
 
 def _subset_tables(graph: Graph) -> tuple[np.ndarray, np.ndarray]:

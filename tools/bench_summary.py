@@ -8,7 +8,8 @@ other side's record of the same workload and seed. For every workload and
 side the output gives, per end-to-end metric of BENCHMARK.json, the median
 and the quartiles over the paired runs, with the items attempted and failed;
 per metric it counts the pairs each side won. It also gives the pair count,
-the seeds and the machine the records were made on.
+the seeds and the machine the records were made on. A workload with a
+single pair is an error (exit 2): its quartiles are undefined.
 """
 
 from __future__ import annotations
