@@ -2,7 +2,8 @@
 
 Commands: build, table, arrange, eval, certify, solve, verify. Reports go
 to standard output, diagnostics to standard error. Exit status: 0 success,
-1 verification failure, 2 usage or input error, 3 resource limit.
+1 verification failure, 2 usage or input error, 3 resource limit
+(including running out of memory).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .layout import (
     SolverLimitError,
     bc_arrangement,
     certify,
+    certify_tree,
     evaluate_arrangement,
     minla_exact,
 )
@@ -133,24 +135,26 @@ def _family_spec_from_args(args) -> families.FamilySpec:
     return families.FamilySpec(args.family, args.dimension, args.seed)
 
 
-def _doc_from_args(args, load):
-    """GraphDocument built from --family flags (trusted) or read from
-    --input by `load` (untrusted), with whether it is trusted."""
+def _source(args, load):
+    """The FamilySpec from --family flags (trusted) or the GraphDocument
+    that `load` reads from --input (untrusted); the other one is None."""
     if (args.family is None) == (args.input is None):
         raise ValueError("provide exactly one of --family or --input")
     if args.family is not None:
-        bc = families.build(_family_spec_from_args(args), cap=args.cap)
-        return formats.GraphDocument.from_bc(bc), True
+        return _family_spec_from_args(args), None
     with open(args.input) as fp:
-        return load(fp), False
+        return None, load(fp)
 
 
-def _bc_from_args(args):
-    """BcGraph from --family flags or from an input file with a tree."""
-    doc, trusted = _doc_from_args(args, formats.load_graph_json)
+def _tree_source(args):
+    """The construction tree from --family flags, built without its edges,
+    or read from --input with the BcGraph it came with (else None)."""
+    spec, doc = _source(args, formats.load_graph_json)
+    if spec is not None:
+        return families.build_tree(spec, cap=args.cap), None
     if doc.tree is None:
         raise ValueError(f"{args.input} carries no construction tree")
-    return doc.to_bc(), trusted
+    return doc.tree, doc.to_bc()
 
 
 def _witness_is_valid(bc, err) -> bool:
@@ -189,9 +193,9 @@ def _cmd_table(args, out, err) -> int:
 
 
 def _cmd_arrange(args, out, err) -> int:
-    bc, _ = _bc_from_args(args)
+    tree, _ = _tree_source(args)
     with _open_out(args.output, out) as fp:
-        formats.dump_arrangement(bc_arrangement(bc.tree), fp)
+        formats.dump_arrangement(bc_arrangement(tree), fp)
     return 0
 
 
@@ -209,12 +213,14 @@ def _cmd_eval(args, out, err) -> int:
 
 
 def _cmd_certify(args, out, err) -> int:
-    bc, trusted = _bc_from_args(args)
-    if not trusted:
+    tree, bc = _tree_source(args)
+    if bc is None:
+        report = certify_tree(tree)
+    else:
         _check_cap(bc.dimension, args.cap)  # before validate re-materializes
         if not _witness_is_valid(bc, err):
             return 1
-    report = certify(bc)
+        report = certify(bc)
     _emit_report(report, args, out)
     return 0 if report.optimal else 1
 
@@ -229,7 +235,9 @@ def _emit_report(report, args, out) -> None:
 
 
 def _cmd_solve(args, out, err) -> int:
-    doc, _ = _doc_from_args(args, formats.load_graph_any)
+    spec, doc = _source(args, formats.load_graph_any)
+    if spec is not None:
+        doc = formats.GraphDocument.from_bc(families.build(spec, cap=args.cap))
     graph = doc.graph
     incumbent = None if doc.tree is None else bc_arrangement(doc.tree)
     mode = args.mode
@@ -284,6 +292,10 @@ def run(argv, stdout=None, stderr=None) -> int:
         return args.handler(args, out, err)
     except (DimensionCapError, EnumerationLimitError, SolverLimitError) as exc:
         print(f"error: {exc}", file=err)
+        return 3
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=err)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=err)

@@ -130,10 +130,6 @@ class Graph:
         for u, v in self._edges.tolist():
             yield u, v
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        """Edges as a set of (u, v) tuples with u < v. O(M) memory."""
-        return set(map(tuple, self._edges.tolist()))
-
     def degrees(self) -> np.ndarray:
         return np.bincount(self._edges.ravel(), minlength=self.vertex_count)
 
@@ -214,15 +210,37 @@ class BcGraph:
     tree: ConstructionTree
 
 
+def level_rows(tree: ConstructionTree) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (d, u, v) for the levels d = n..1 of a construction tree: the
+    level-d matching edges as two (blocks, 2**(d-1)) arrays, u = base + x
+    and v = base + half + phi[x] in the block at base. Each distinct subtree
+    at a level is read once and broadcast over the blocks it fills."""
+    # nodes: the distinct subtrees of this level; which[b]: the one in block b
+    nodes, which = [tree], np.zeros(1, dtype=np.intp)
+    for d in range(tree.dimension, 0, -1):
+        half = 1 << (d - 1)
+        # a leaf is the edge (0, 1): one-vertex halves joined by phi = (0,)
+        phi = [node.phi for node in nodes] if d > 1 else [(0,)] * len(nodes)
+        base = (np.arange(which.size, dtype=np.int64) << d)[:, None]
+        v = np.array(phi, dtype=np.int64)[which]
+        v += base + half
+        yield d, base + np.arange(half), v
+        if d > 1:
+            kids = [kid for node in nodes for kid in (node.left, node.right)]
+            _, firsts, kid_of = np.unique(
+                list(map(id, kids)), return_index=True, return_inverse=True
+            )
+            nodes = [kids[i] for i in firsts]
+            which = kid_of.reshape(-1, 2)[which].ravel()
+
+
 def materialize(tree: ConstructionTree) -> Graph:
     """Build the concrete graph described by a construction tree.
 
-    One pass over the levels d = n..1 writes each level's matching edges
-    (u, base + half + phi[u - base]) into u's canonical rows: they start
-    after the n - popcount(w) upper neighbours of every w < u, and the
+    Writes each level's rows from `level_rows` into u's canonical rows: they
+    start after the n - popcount(w) upper neighbours of every w < u, and the
     level-d edge follows one row per zero bit of u below bit d-1 (see the
-    module docstring), so Graph finds the rows sorted. Each distinct subtree
-    at a level is read once and broadcast over the blocks it fills. Raises
+    module docstring), so Graph finds the rows sorted. Raises
     DimensionCapError above MAX_DIMENSION_CAP; a smaller cap is the caller's.
     """
     n = tree.dimension
@@ -231,24 +249,10 @@ def materialize(tree: ConstructionTree) -> Graph:
     upper = n - np.bitwise_count(np.arange(1 << n)).astype(np.int64)
     first = np.cumsum(upper) - upper
     edges = np.empty((n << (n - 1), 2), dtype=np.int64)
-    # nodes: the distinct subtrees of this level; which[b]: the one in block b
-    nodes, which = [tree], np.zeros(1, dtype=np.intp)
-    for d in range(n, 0, -1):
-        half = 1 << (d - 1)
-        # a leaf is the edge (0, 1): one-vertex halves joined by phi = (0,)
-        phi = [node.phi for node in nodes] if d > 1 else [(0,)] * len(nodes)
-        x = np.arange(half)
-        base = (np.arange(which.size) << d)[:, None]
-        rows = first[base + x] + (d - 1 - np.bitwise_count(x))
-        edges[rows, 0] = base + x
-        edges[rows, 1] = base + half + np.array(phi, dtype=np.int64)[which]
-        if d > 1:
-            kids = [kid for node in nodes for kid in (node.left, node.right)]
-            _, firsts, kid_of = np.unique(
-                list(map(id, kids)), return_index=True, return_inverse=True
-            )
-            nodes = [kids[i] for i in firsts]
-            which = kid_of.reshape(-1, 2)[which].ravel()
+    for d, u, v in level_rows(tree):
+        rows = first[u] + (d - 1 - np.bitwise_count(np.arange(1 << (d - 1))))
+        edges[rows, 0] = u
+        edges[rows, 1] = v
     edges.setflags(write=False)  # so Graph adopts it without a copy
     return Graph(1 << n, edges)
 

@@ -46,27 +46,11 @@ class FamilySpec:
         elif self.seed is not None:
             raise ValueError(f"family {self.kind!r} does not take a seed")
 
-    def to_json_dict(self) -> dict:
-        out: dict = {"family": self.kind, "n": self.dimension}
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "FamilySpec":
-        if not isinstance(obj, dict):
-            raise ValueError("family spec must be a JSON object")
-        return cls(obj.get("family"), obj.get("n"), obj.get("seed"))
-
 
 def hypercube(n: int, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph:
     """The n-dimensional hypercube: identity bijection at every tree node,
     so adjacency is exactly single-bit-flip on the vertex ids."""
-    _check_cap(n, cap)
-    tree: ConstructionTree = _LEAF
-    for d in range(2, n + 1):
-        tree = Node(tree, tree, tuple(range(1 << (d - 1))))
-    return BcGraph(n, materialize(tree), tree)
+    return build(FamilySpec("hypercube", n), cap=cap)
 
 
 def locally_twisted(n: int, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph:
@@ -75,17 +59,7 @@ def locally_twisted(n: int, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph:
     Dimension 2 joins with the identity; dimension d >= 3 joins with
     phi(x) = x with bit (d-2) flipped whenever bit 0 of x is set.
     """
-    _check_cap(n, cap)
-    tree: ConstructionTree = _LEAF
-    for d in range(2, n + 1):
-        half = 1 << (d - 1)
-        if d == 2:
-            phi = tuple(range(half))
-        else:
-            flip = 1 << (d - 2)
-            phi = tuple(x ^ flip if x & 1 else x for x in range(half))
-        tree = Node(tree, tree, phi)
-    return BcGraph(n, materialize(tree), tree)
+    return build(FamilySpec("locally-twisted", n), cap=cap)
 
 
 def mobius(n: int, variant: int, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph:
@@ -98,9 +72,45 @@ def mobius(n: int, variant: int, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph
     """
     if variant not in (0, 1):
         raise ValueError("variant must be 0 or 1")
+    return build(FamilySpec(f"mobius-{int(variant)}", n), cap=cap)
+
+
+def random_bc(n: int, seed: int, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph:
+    """Uniformly random member of the dimension-n BC family.
+
+    Every tree node independently draws a uniform permutation. The stream
+    order is pinned (left subtree, right subtree, then the node's own
+    permutation), so equal (n, seed) always yields an identical graph.
+    The draws are made a level at a time from the stream's counter; if any
+    of them is rejected, the tree is drawn again through the scalar stream.
+    """
+    return build(FamilySpec("random", n, seed), cap=cap)
+
+
+def build(spec: FamilySpec, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph:
+    """Construct the BcGraph a FamilySpec describes."""
+    tree = build_tree(spec, cap=cap)
+    return BcGraph(spec.dimension, materialize(tree), tree)
+
+
+def build_tree(spec: FamilySpec, *, cap: int = DEFAULT_DIMENSION_CAP) -> ConstructionTree:
+    """The construction tree a FamilySpec describes, without its edges.
+    The cap and the seed are checked before any tree node is made."""
+    n = spec.dimension
     _check_cap(n, cap)
-    tree = _mobius_tree(n, variant)
-    return BcGraph(n, materialize(tree), tree)
+    if spec.kind == "random":
+        seed = check_seed(spec.seed)
+        tree = _random_tree_by_level(n, seed)
+        return _random_tree(n, SplitMix64(seed)) if tree is None else tree
+    if spec.kind in ("mobius-0", "mobius-1"):
+        return _mobius_tree(n, int(spec.kind[-1]))
+    tree: ConstructionTree = _LEAF
+    for d in range(2, n + 1):
+        phi = range(1 << (d - 1))
+        if spec.kind == "locally-twisted" and d > 2:
+            phi = (x ^ (1 << (d - 2)) if x & 1 else x for x in phi)
+        tree = Node(tree, tree, tuple(phi))
+    return tree
 
 
 def _mobius_tree(n: int, variant: int) -> ConstructionTree:
@@ -115,23 +125,6 @@ def _mobius_tree(n: int, variant: int) -> ConstructionTree:
             return Node(zero, one, tuple(phis[variant]))
         zero, one = Node(zero, one, tuple(phis[0])), Node(zero, one, tuple(phis[1]))
     return _LEAF
-
-
-def random_bc(n: int, seed: int, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph:
-    """Uniformly random member of the dimension-n BC family.
-
-    Every tree node independently draws a uniform permutation. The stream
-    order is pinned (left subtree, right subtree, then the node's own
-    permutation), so equal (n, seed) always yields an identical graph.
-    The draws are made a level at a time from the stream's counter; if any
-    of them is rejected, the tree is drawn again through the scalar stream.
-    """
-    _check_cap(n, cap)
-    seed = check_seed(seed)
-    tree = _random_tree_by_level(n, seed)
-    if tree is None:
-        tree = _random_tree(n, SplitMix64(seed))
-    return BcGraph(n, materialize(tree), tree)
 
 
 def _random_tree(d: int, rng: SplitMix64) -> ConstructionTree:
@@ -172,16 +165,3 @@ def _first_counters(n: int, d: int) -> np.ndarray:
     for e in range(d, n):
         first += ((v >> e) & 1) * ((e - 2) * (1 << (e - 1)) + 1)
     return first
-
-
-def build(spec: FamilySpec, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph:
-    """Construct the BcGraph a FamilySpec describes."""
-    if spec.kind == "hypercube":
-        return hypercube(spec.dimension, cap=cap)
-    if spec.kind == "locally-twisted":
-        return locally_twisted(spec.dimension, cap=cap)
-    if spec.kind == "mobius-0":
-        return mobius(spec.dimension, 0, cap=cap)
-    if spec.kind == "mobius-1":
-        return mobius(spec.dimension, 1, cap=cap)
-    return random_bc(spec.dimension, spec.seed, cap=cap)

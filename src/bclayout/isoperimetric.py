@@ -109,38 +109,53 @@ class SubsetWitness:
 def brute_force_max_induced(graph: Graph, m: int) -> SubsetWitness:
     """Exhaustive search for an m-subset inducing the most edges."""
     _check_subset_args(graph, m)
-    induced, _ = _subset_tables(graph)
-    sel = np.flatnonzero(np.bitwise_count(np.arange(induced.size, dtype=np.uint32)) == m)
-    return _witness(graph, int(sel[np.argmax(induced[sel])]))
+    return _witness(graph, _first_best(_subset_table(graph, boundary=False), m, 1))
 
 
 def brute_force_min_boundary(graph: Graph, m: int) -> SubsetWitness:
     """Exhaustive search for an m-subset with the smallest edge boundary."""
     _check_subset_args(graph, m)
-    _, boundary = _subset_tables(graph)
-    sel = np.flatnonzero(np.bitwise_count(np.arange(boundary.size, dtype=np.uint32)) == m)
-    return _witness(graph, int(sel[np.argmin(boundary[sel])]))
+    return _witness(graph, _first_best(_subset_table(graph, boundary=True), m, -1))
 
 
 def brute_force_tables(graph: Graph) -> tuple[list[int], list[int]]:
     """Exact (max induced edges, min edge boundary) for every size 0..N.
 
-    Both come from one histogram per table over (subset size, value) keys,
-    read a row of the subset lattice at a time: rows are aligned, so a
-    subset's size is its row's popcount plus its column's.
+    Each comes from one histogram over (subset size, value) keys, read a
+    row of the subset lattice at a time: rows are aligned, so a subset's
+    size is its row's popcount plus its column's. One table exists at once.
     """
-    induced, boundary = _subset_tables(graph)
     n, width = graph.vertex_count, graph.edge_count + 1
-    cols = min(induced.size, _ROW)
-    offsets = np.bitwise_count(np.arange(cols, dtype=np.uint32)).astype(np.intp) * width
-    hist = np.zeros((2, n + 1, width), dtype=np.int64)
-    for table, counts in zip((induced, boundary), hist.reshape(2, -1)):
+    seen = []
+    for boundary in (False, True):
+        table = _subset_table(graph, boundary)
+        cols = min(table.size, _ROW)
+        offsets = np.bitwise_count(np.arange(cols, dtype=np.uint32)).astype(np.intp) * width
+        counts = np.zeros((n + 1) * width, dtype=np.int64)
         for r, row in enumerate(table.reshape(-1, cols)):
             counts += np.bincount(offsets + row + r.bit_count() * width, minlength=counts.size)
-    seen = hist > 0
-    induced_max = (width - 1 - seen[0, :, ::-1].argmax(axis=1)).tolist()
+        seen.append(counts.reshape(n + 1, width) > 0)
+    induced_max = (width - 1 - seen[0][:, ::-1].argmax(axis=1)).tolist()
     boundary_min = seen[1].argmax(axis=1).tolist()
     return induced_max, boundary_min
+
+
+def _first_best(table: np.ndarray, m: int, sign: int) -> int:
+    """The lowest subset of size m at which sign * table is largest, found a
+    row of the lattice at a time from the columns of each popcount."""
+    cols = min(table.size, _ROW)
+    col_size = np.bitwise_count(np.arange(cols, dtype=np.uint32))
+    by_size = [np.flatnonzero(col_size == k) for k in range(cols.bit_length())]
+    best, best_value = -1, None
+    for r, row in enumerate(table.reshape(-1, cols)):
+        k = m - r.bit_count()
+        if 0 <= k < len(by_size):
+            sel = by_size[k]
+            values = sign * row[sel]
+            i = int(values.argmax())
+            if best_value is None or values[i] > best_value:
+                best, best_value = r * cols + int(sel[i]), values[i]
+    return best
 
 
 def _check_enumerable(n: int) -> None:
@@ -157,13 +172,13 @@ def _check_subset_args(graph: Graph, m: int) -> None:
         raise ValueError(f"subset size must be in 1..{graph.vertex_count}")
 
 
-def _subset_tables(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Induced-edge count and edge boundary of every vertex subset.
+def _subset_table(graph: Graph, boundary: bool) -> np.ndarray:
+    """Induced-edge count, or with `boundary` edge boundary, of every subset.
 
-    Subsets are bitmasks 0..2**N-1, and entry S of each int16 table holds
-    S's value (both are at most the edge count, 276 at 24 vertices). The
-    subsets containing v are those of bits 0..v-1 with v added, so step v
-    fills the upper half [h, 2h), h = 2**v, from the lower half in place:
+    Subsets are bitmasks 0..2**N-1, and entry S of the int16 table holds
+    S's value (at most the edge count, 276 at 24 vertices). The subsets
+    containing v are those of bits 0..v-1 with v added, so step v fills the
+    upper half [h, 2h), h = 2**v, from the lower half in place:
     I(S + v) = I(S) + |adj(v) & S| and B(S + v) = B(S) + deg(v) - 2|adj(v) & S|.
     Viewed as rows of at most _ROW subsets, |adj(v) & S| is the popcount of
     the column's bits plus that of the row's, so no step allocates more
@@ -174,24 +189,21 @@ def _subset_tables(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     masks = graph.adjacency_masks()
     degrees = graph.degrees().tolist()
     size = 1 << n
-    induced = np.zeros(size, dtype=np.int16)
-    boundary = np.zeros(size, dtype=np.int16)
+    table = np.zeros(size, dtype=np.int16)
     index = np.arange(min(size, _ROW), dtype=np.uint32)
     for v in range(n):
         h = 1 << v
         cols = min(h, _ROW)
         mask = masks[v] & (h - 1)
-        col = np.bitwise_count(index[:cols] & (mask % cols)).astype(np.int16)
-        row = np.bitwise_count(index[:h // cols] & (mask // cols)).astype(np.int16)[:, None]
-        for table, col_step, row_step in (
-            (induced, col, row),
-            (boundary, degrees[v] - 2 * col, -2 * row),
-        ):
-            upper = table[h:2 * h].reshape(-1, cols)
-            np.add(table[:h].reshape(-1, cols), col_step, out=upper)
-            if h > cols:
-                upper += row_step
-    return induced, boundary
+        col_step = np.bitwise_count(index[:cols] & (mask % cols)).astype(np.int16)
+        row_step = np.bitwise_count(index[:h // cols] & (mask // cols)).astype(np.int16)[:, None]
+        if boundary:
+            col_step, row_step = degrees[v] - 2 * col_step, -2 * row_step
+        upper = table[h:2 * h].reshape(-1, cols)
+        np.add(table[:h].reshape(-1, cols), col_step, out=upper)
+        if h > cols:
+            upper += row_step
+    return table
 
 
 def _witness(graph: Graph, subset_mask: int) -> SubsetWitness:

@@ -18,10 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    MAX_DIMENSION_CAP,
     BcGraph,
     ConstructionTree,
     Graph,
-    check_permutation,
+    _check_cap,
+    level_rows,
 )
 from .isoperimetric import brute_force_tables, sum_edge_boundary
 from .rng import SplitMix64
@@ -131,17 +133,17 @@ class ExactResult:
     elapsed_seconds: float
 
 
-def _check_sizes(graph: Graph, arrangement: LinearArrangement) -> None:
-    if len(arrangement) != graph.vertex_count:
+def _check_sizes(graph: Graph, vertex_count: int) -> None:
+    if vertex_count != graph.vertex_count:
         raise ValueError(
-            f"arrangement covers {len(arrangement)} vertices, "
+            f"arrangement covers {vertex_count} vertices, "
             f"graph has {graph.vertex_count}"
         )
 
 
 def arrangement_cost(graph: Graph, arrangement: LinearArrangement) -> int:
     """Total edge span sum(|f(u) - f(v)|), exact."""
-    _check_sizes(graph, arrangement)
+    _check_sizes(graph, len(arrangement))
     edges = graph.edge_array
     if edges.shape[0] == 0:
         return 0
@@ -154,7 +156,7 @@ def arrangement_cost(graph: Graph, arrangement: LinearArrangement) -> int:
 
 def cut_profile(graph: Graph, arrangement: LinearArrangement) -> CutProfile:
     """Crossing-edge counts for every cut of the arrangement."""
-    _check_sizes(graph, arrangement)
+    _check_sizes(graph, len(arrangement))
     n = graph.vertex_count
     edges = graph.edge_array
     if edges.shape[0] == 0:
@@ -192,17 +194,6 @@ def lower_bound_generic(graph: Graph) -> int:
     the exact minimum edge boundary, found by subset enumeration."""
     _, boundary_min = brute_force_tables(graph)
     return sum(boundary_min[1 : graph.vertex_count])
-
-
-def cross_matching_cost(n: int, phi) -> int:
-    """Span contributed by the matching edges (v, phi[v] + half) when both
-    halves keep their recursive arrangements. Every term is positive, so the
-    sum collapses to 4**(n-1) regardless of the permutation."""
-    if n < 1:
-        raise ValueError("dimension must be positive")
-    half = 1 << (n - 1)
-    phi = check_permutation(phi, half)
-    return sum(abs((phi[v] + half + 1) - (v + 1)) for v in range(half))
 
 
 def random_arrangement(vertex_count: int, rng: SplitMix64) -> LinearArrangement:
@@ -248,7 +239,7 @@ def minla_exact(
     if incumbent is None:
         incumbent = LinearArrangement.identity(n)
     else:
-        _check_sizes(graph, incumbent)
+        _check_sizes(graph, len(incumbent))
     start = time.perf_counter()
     if mode == "exhaustive":
         cost, arrangement, nodes = _solve_exhaustive(graph, incumbent)
@@ -338,8 +329,36 @@ def certify(bc: BcGraph) -> LayoutReport:
     """Evaluate the construction-tree arrangement against the closed-form
     lower bound. Equality of achieved cost and universal lower bound proves
     minimality outright, so for a valid BC graph this reports optimal=True.
+    The graph's edge array is read as one block; see `certify_tree`.
     """
-    return evaluate_arrangement(bc.graph, bc_arrangement(bc.tree), witness=bc)
+    _check_sizes(bc.graph, 1 << bc.tree.dimension)
+    edges = bc.graph.edge_array
+    return _identity_report(bc.dimension, bc.graph.vertex_count, [(edges[:, 0], edges[:, 1])])
+
+
+def certify_tree(tree: ConstructionTree) -> LayoutReport:
+    """`certify` of the graph a construction tree describes, read from the
+    tree's level rows one level at a time, so the graph is never built."""
+    _check_cap(tree.dimension, MAX_DIMENSION_CAP)
+    rows = ((u, v) for _, u, v in level_rows(tree))
+    return _identity_report(tree.dimension, 1 << tree.dimension, rows)
+
+
+def _identity_report(n: int, size: int, blocks) -> LayoutReport:
+    """Report of the identity arrangement on `size` vertices against the
+    dimension-n closed form, from blocks of edges (u, v) with u < v. Under
+    f(v) = v + 1 an edge spans v - u, and entry c of the profile (the cut
+    after position c + 1) counts the edges with u <= c < v: the running sum
+    of the starts u minus the stops v."""
+    cost = 0
+    delta = np.zeros(size, dtype=np.int64)
+    for u, v in blocks:
+        cost += int(v.sum()) - int(u.sum())
+        delta += np.bincount(u.ravel(), minlength=size)
+        delta -= np.bincount(v.ravel(), minlength=size)
+    profile = CutProfile(tuple(np.cumsum(delta)[: size - 1].tolist()))
+    bound = lower_bound_closed(n)
+    return LayoutReport(cost, bound, bound, profile, cost == bound)
 
 
 def evaluate_arrangement(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from . import families, formats
-from .core import BcGraph, validate
+from .core import BcGraph, check_permutation, validate
 from .isoperimetric import (
     brute_force_max_induced,
     brute_force_min_boundary,
@@ -32,7 +32,6 @@ from .layout import (
     arrangement_cost,
     bc_arrangement,
     certify,
-    cross_matching_cost,
     cut_profile,
     lower_bound_closed,
     lower_bound_generic,
@@ -196,6 +195,17 @@ def _arrangement_cost_lower_bound(seed: int) -> tuple[bool, str]:
     if failures:
         return False, "; ".join(failures[:4])
     return True, f"{samples} random arrangements stayed at or above the lower bounds"
+
+
+def cross_matching_cost(n: int, phi) -> int:
+    """Span contributed by the matching edges (v, phi[v] + half) when both
+    halves keep their recursive arrangements. Every term is positive, so the
+    sum collapses to 4**(n-1) regardless of the permutation."""
+    if n < 1:
+        raise ValueError("dimension must be positive")
+    half = 1 << (n - 1)
+    phi = check_permutation(phi, half)
+    return sum(abs((phi[v] + half + 1) - (v + 1)) for v in range(half))
 
 
 def _cross_matching_constant(seed: int) -> tuple[bool, str]:

@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from bclayout import edge_boundary, hypercube
-from bclayout import cli
+from bclayout import KINDS, edge_boundary, hypercube
+from bclayout import cli, core, families
 from bclayout.cli import run
 from bclayout.formats import load_graph_json
 
@@ -152,6 +152,39 @@ def test_certify_human_output():
     assert status == 0
     assert "cost         28" in out
     assert "optimal      yes" in out
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_family_commands_build_no_edges(kind, monkeypatch):
+    # certify and arrange read the construction tree alone
+    def no_materialize(tree):
+        raise AssertionError("the graph was materialized")
+
+    monkeypatch.setattr(core, "materialize", no_materialize)
+    monkeypatch.setattr(families, "materialize", no_materialize)
+    flags = ["--family", kind, "-n", "6"] + (["--seed", "7"] if kind == "random" else [])
+    status, out, _ = invoke("certify", *flags)
+    assert status == 0
+    report = json.loads(out)
+    assert report["cost"] == report["lower_bound"] == 32 * 63
+    assert report["cuts"] == [edge_boundary(6, m) for m in range(1, 64)]
+    status, out, _ = invoke("arrange", *flags)
+    assert status == 0
+    assert out.splitlines() == [f"{v} {v + 1}" for v in range(64)]
+
+
+def test_out_of_memory_is_resource_error(monkeypatch):
+    for error, line in (
+        (MemoryError("Unable to allocate 8.00 GiB"), "out of memory: Unable to allocate 8.00 GiB"),
+        (MemoryError(), "out of memory"),
+    ):
+
+        def exhausted(tree):
+            raise error
+
+        monkeypatch.setattr(cli, "certify_tree", exhausted)
+        status, out, err = invoke("certify", "--family", "hypercube", "-n", "4")
+        assert (status, out, err) == (3, "", f"error: {line}\n")
 
 
 def test_certify_corrupted_file_fails(tmp_path):

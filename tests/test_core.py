@@ -12,7 +12,11 @@ from bclayout import (
     Leaf,
     MAX_DIMENSION_CAP,
     Node,
+    bc_arrangement,
+    certify,
+    certify_tree,
     compose,
+    evaluate_arrangement,
     hypercube,
     materialize,
     validate,
@@ -68,7 +72,7 @@ def test_graph_equality_and_edge_set():
     a = Graph(4, [(0, 1), (2, 3)])
     b = Graph(4, [(3, 2), (1, 0)])
     assert a == b
-    assert a.edge_set() == {(0, 1), (2, 3)}
+    assert a.edge_array.tolist() == [[0, 1], [2, 3]]
     assert a != Graph(4, [(0, 1)])
     assert a != Graph(5, [(0, 1), (2, 3)])
 
@@ -188,12 +192,12 @@ def test_node_rejects_dimension_mismatch():
 def test_materialize_leaf_is_single_edge():
     g = materialize(Leaf())
     assert g.vertex_count == 2
-    assert g.edge_set() == {(0, 1)}
+    assert g.edge_array.tolist() == [[0, 1]]
 
 
 def test_materialize_identity_dim2_is_four_cycle():
     g = materialize(Node(Leaf(), Leaf(), (0, 1)))
-    assert g.edge_set() == {(0, 1), (2, 3), (0, 2), (1, 3)}
+    assert g.edge_array.tolist() == [[0, 1], [0, 2], [1, 3], [2, 3]]
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -206,7 +210,7 @@ def test_materialize_counts(n):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_identity_tree_is_bitflip_hypercube(n):
-    assert hypercube(n).graph.edge_set() == bitflip_edges(n)
+    assert hypercube(n).graph.edge_array.tolist() == sorted(map(list, bitflip_edges(n)))
 
 
 @st.composite
@@ -246,6 +250,17 @@ def test_materialize_emits_canonical_rows(tree, rnd):
     assert g == Graph(1 << tree.dimension, flipped)
 
 
+@given(trees())
+@settings(max_examples=100)
+def test_certify_tree_matches_the_materialized_graph(tree):
+    # the level rows, the edge array as one block, and the evaluation by
+    # positions give one report
+    bc = BcGraph(tree.dimension, materialize(tree), tree)
+    report = certify_tree(tree)
+    assert report == certify(bc)
+    assert report == evaluate_arrangement(bc.graph, bc_arrangement(tree), witness=bc)
+
+
 def test_materialize_rejects_dimensions_above_the_ceiling(monkeypatch):
     class NoNumpy:
         def __getattr__(self, name):
@@ -257,6 +272,8 @@ def test_materialize_rejects_dimensions_above_the_ceiling(monkeypatch):
     monkeypatch.setattr(core, "np", NoNumpy())
     with pytest.raises(DimensionCapError, match="ceiling"):
         materialize(StubTree())
+    with pytest.raises(DimensionCapError):
+        certify_tree(StubTree())
 
 
 # ------------------------------------------------------------- compose
@@ -265,14 +282,14 @@ def test_materialize_rejects_dimensions_above_the_ceiling(monkeypatch):
 def test_compose_identity_gives_four_cycle():
     k2 = hypercube(1)
     c4 = compose(k2, k2, (0, 1))
-    assert c4.graph.edge_set() == {(0, 1), (2, 3), (0, 2), (1, 3)}
+    assert c4.graph.edge_array.tolist() == [[0, 1], [0, 2], [1, 3], [2, 3]]
     assert validate(c4).ok
 
 
 def test_compose_swap_gives_four_cycle():
     k2 = hypercube(1)
     c4 = compose(k2, k2, (1, 0))
-    assert c4.graph.edge_set() == {(0, 1), (2, 3), (0, 3), (1, 2)}
+    assert c4.graph.edge_array.tolist() == [[0, 1], [0, 3], [1, 2], [2, 3]]
     assert validate(c4).ok
 
 

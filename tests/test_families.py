@@ -20,7 +20,7 @@ from bclayout import (
     random_bc,
     validate,
 )
-from bclayout import families
+from bclayout import cli, families
 from bclayout.core import materialize
 from bclayout.formats import GraphDocument, dump_graph_json, load_graph_json
 from bclayout.rng import _GAMMA, _MIX1, _MIX2, SplitMix64, bounded_draws
@@ -38,7 +38,7 @@ def all_members(n, seeds=(1, 2)):
 def test_dimension_one_is_single_edge_for_every_family():
     for bc in all_members(1):
         assert bc.graph.vertex_count == 2
-        assert bc.graph.edge_set() == {(0, 1)}
+        assert bc.graph.edge_array.tolist() == [[0, 1]]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -87,17 +87,17 @@ def test_random_bc_checks_dimension_cap_and_seed_before_any_draw(monkeypatch):
 
 
 def test_locally_twisted_small_cases():
-    assert locally_twisted(2).graph.edge_set() == {(0, 1), (2, 3), (0, 2), (1, 3)}
+    assert locally_twisted(2).graph.edge_array.tolist() == [[0, 1], [0, 2], [1, 3], [2, 3]]
     # dimension 3 join rule: flip bit 1 of x when bit 0 of x is set
     assert locally_twisted(3).tree.phi == (0, 3, 2, 1)
-    assert (1, 7) in locally_twisted(3).graph.edge_set()
+    assert [1, 7] in locally_twisted(3).graph.edge_array.tolist()
     g4 = locally_twisted(4).graph
     assert (g4.degrees() == 4).all()
 
 
 def test_mobius_small_cases():
-    assert mobius(2, 0).graph.edge_set() == {(0, 1), (2, 3), (0, 2), (1, 3)}
-    assert mobius(2, 1).graph.edge_set() == {(0, 1), (2, 3), (0, 3), (1, 2)}
+    assert mobius(2, 0).graph.edge_array.tolist() == [[0, 1], [0, 2], [1, 3], [2, 3]]
+    assert mobius(2, 1).graph.edge_array.tolist() == [[0, 1], [0, 3], [1, 2], [2, 3]]
     for variant in (0, 1):
         g = mobius(4, variant).graph
         assert g.edge_count == 32
@@ -129,7 +129,7 @@ def test_random_bc_frozen_fixture():
 
 def test_random_bc_dimension_one_ignores_seed():
     for s in (0, 7, (1 << 64) - 1):
-        assert random_bc(1, s).graph.edge_set() == {(0, 1)}
+        assert random_bc(1, s).graph.edge_array.tolist() == [[0, 1]]
 
 
 @given(st.integers(2, 6), st.integers(0, 2**64 - 1))
@@ -168,8 +168,14 @@ def test_family_spec_validation():
 
 
 def test_family_spec_json_round_trip():
-    for spec in (FamilySpec("mobius-1", 4), FamilySpec("random", 2, seed=9)):
-        assert FamilySpec.from_json_dict(spec.to_json_dict()) == spec
+    # a spec given as CLI flags comes back from the graph JSON as its graph
+    for spec, seed in ((FamilySpec("mobius-1", 4), []), (FamilySpec("random", 2, seed=9), ["--seed", "9"])):
+        out = io.StringIO()
+        argv = ["build", "--family", spec.kind, "-n", str(spec.dimension), *seed]
+        assert cli.run(argv, out, io.StringIO()) == 0
+        doc = load_graph_json(io.StringIO(out.getvalue()))
+        bc = build_family(spec)
+        assert (doc.dimension, doc.graph, doc.tree) == (bc.dimension, bc.graph, bc.tree)
 
 
 def test_build_family_dispatch():

@@ -28,12 +28,12 @@ from bclayout.formats import (
     load_edge_list,
     load_graph_any,
     load_graph_json,
-    report_from_json_dict,
     report_to_json_dict,
     tree_from_json_obj,
     tree_to_json_obj,
     write_isoperimetric_table,
 )
+from bclayout import cli
 from bclayout.layout import certify
 
 
@@ -158,7 +158,9 @@ def test_report_serialization():
     assert set(data) == {"cost", "lower_bound", "closed_form", "optimal", "cuts"}
     assert data["cost"] == 28
     assert data["cuts"] == [3, 4, 5, 4, 5, 4, 3]
-    assert report_from_json_dict(json.loads(json.dumps(data))) == report
+    out = io.StringIO()
+    assert cli.run(["certify", "--family", "hypercube", "-n", "3"], out, io.StringIO()) == 0
+    assert json.loads(out.getvalue()) == data
     lines = format_report_lines(report)
     assert any("optimal      yes" in line for line in lines)
 

@@ -6,7 +6,9 @@ shipped bitmask enumeration so each checks the other.
 """
 
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,7 @@ from bclayout import (
     random_bc,
     sum_edge_boundary,
 )
+from bclayout import isoperimetric
 
 
 def combo_tables(graph):
@@ -195,6 +198,25 @@ def test_complete_graph_at_the_enumeration_limit():
     induced_tab, boundary_tab = brute_force_tables(complete_graph(n))
     assert induced_tab == [m * (m - 1) // 2 for m in range(n + 1)]
     assert boundary_tab == [m * (n - m) for m in range(n + 1)]
+
+
+@pytest.mark.parametrize("n, edges, seed", [(18, 40, 3), (18, 153, 4), (17, 0, 5)])
+def test_witnesses_are_the_lowest_extreme_subsets(n, edges, seed):
+    # more than one lattice row: the witness is the lowest bitmask of size m
+    # that attains the extreme, as a plain scan over every subset finds it
+    rnd = random.Random(seed)
+    g = Graph(n, rnd.sample(list(itertools.combinations(range(n), 2)), edges))
+    size = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+    tables = [isoperimetric._subset_table(g, boundary) for boundary in (False, True)]
+    for m in (1, 2, n // 2, n - 1, n):
+        sel = np.flatnonzero(size == m)
+        lowest = (
+            int(sel[np.argmax(tables[0][sel])]),
+            int(sel[np.argmin(tables[1][sel])]),
+        )
+        found = (brute_force_max_induced(g, m), brute_force_min_boundary(g, m))
+        for witness, mask in zip(found, lowest):
+            assert witness.vertices == tuple(v for v in range(n) if mask >> v & 1)
 
 
 def test_witnesses_attain_table_values():

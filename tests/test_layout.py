@@ -6,14 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bclayout import (
+    BcGraph,
+    FamilySpec,
     Graph,
+    KINDS,
     Leaf,
     LinearArrangement,
     SplitMix64,
     arrangement_cost,
     bc_arrangement,
+    build_family,
+    build_tree,
     certify,
-    cross_matching_cost,
+    certify_tree,
     cut_profile,
     evaluate_arrangement,
     hypercube,
@@ -24,6 +29,7 @@ from bclayout import (
     random_arrangement,
     random_bc,
 )
+from bclayout.verify import cross_matching_cost
 
 C4 = Graph(4, [(0, 1), (2, 3), (0, 2), (1, 3)])
 K2 = Graph(2, [(0, 1)])
@@ -209,6 +215,26 @@ def test_certify_examples():
 def test_certify_spot_dimensions():
     assert certify(hypercube(10)).cost == 523776
     assert certify(locally_twisted(12)).cost == (1 << 11) * ((1 << 12) - 1)
+
+
+SPECS = [
+    FamilySpec(kind, n, seed)
+    for n in range(1, 15)
+    for kind in KINDS
+    for seed in ((42, (1 << 64) - 1) if kind == "random" else (None,))
+]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=str)
+def test_certify_tree_equals_certify(spec):
+    # the tree's level rows and the materialized edge array give one report
+    assert certify_tree(build_tree(spec)) == certify(build_family(spec))
+
+
+def test_certify_checks_the_vertex_count():
+    bc = hypercube(3)
+    with pytest.raises(ValueError, match="arrangement covers 8 vertices"):
+        certify(BcGraph(3, Graph(16, bc.graph.edge_array), bc.tree))
 
 
 @pytest.mark.parametrize("n", (15, 16))
