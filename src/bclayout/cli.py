@@ -2,8 +2,7 @@
 
 Commands: build, table, arrange, eval, certify, solve, verify. Reports go
 to standard output, diagnostics to standard error. Exit status: 0 success,
-1 verification failure, 2 usage or input error, 3 resource limit
-(including running out of memory).
+1 verification failure, 2 usage or input error, 3 resource limit or memory.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Constructors for canonical BC-graph families and seeded random members.
 
 Every constructor returns a BcGraph whose construction tree fully witnesses
-how it was built. Random members draw one uniform permutation per tree node
-from a pinned SplitMix64 stream, so a (dimension, seed) pair is reproducible
-across platforms.
+how it was built; `build_tree` returns the tree alone. Random members draw
+one uniform permutation per tree node from a pinned SplitMix64 stream, so a
+(dimension, seed) pair is reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -100,10 +100,11 @@ def build_tree(spec: FamilySpec, *, cap: int = DEFAULT_DIMENSION_CAP) -> Constru
     _check_cap(n, cap)
     if spec.kind == "random":
         seed = check_seed(spec.seed)
-        tree = _random_tree_by_level(n, seed)
-        return _random_tree(n, SplitMix64(seed)) if tree is None else tree
+        drawn = _random_tree_by_level(n, seed)
+        return _random_tree(n, SplitMix64(seed)) if drawn is None else drawn
     if spec.kind in ("mobius-0", "mobius-1"):
         return _mobius_tree(n, int(spec.kind[-1]))
+    # hypercube and locally twisted cube: one shared subtree per level
     tree: ConstructionTree = _LEAF
     for d in range(2, n + 1):
         phi = range(1 << (d - 1))

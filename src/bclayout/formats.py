@@ -19,7 +19,7 @@ from typing import IO, Iterable
 
 from .core import BcGraph, ConstructionTree, Graph, Leaf, Node
 from .isoperimetric import edge_boundary, max_induced_edges
-from .layout import CutProfile, LayoutReport, LinearArrangement
+from .layout import LayoutReport, LinearArrangement
 
 
 def tree_to_json_obj(tree: ConstructionTree) -> dict:
@@ -186,16 +186,6 @@ def report_to_json_dict(report: LayoutReport) -> dict:
         "optimal": report.optimal,
         "cuts": list(report.cut_profile.counts),
     }
-
-
-def report_from_json_dict(obj: dict) -> LayoutReport:
-    return LayoutReport(
-        obj["cost"],
-        obj["lower_bound"],
-        obj.get("closed_form"),
-        CutProfile(tuple(obj["cuts"])),
-        obj["optimal"],
-    )
 
 
 def format_report_lines(report: LayoutReport, *, max_cuts: int = 32) -> list[str]:

@@ -123,18 +123,20 @@ def brute_force_tables(graph: Graph) -> tuple[list[int], list[int]]:
 
     Each comes from one histogram over (subset size, value) keys, read a
     row of the subset lattice at a time: rows are aligned, so a subset's
-    size is its row's popcount plus its column's. One table exists at once.
+    size is its row's popcount plus its column's. Only the comprehension
+    holds a table, so the first is freed before the second is built.
     """
     n, width = graph.vertex_count, graph.edge_count + 1
-    seen = []
-    for boundary in (False, True):
-        table = _subset_table(graph, boundary)
-        cols = min(table.size, _ROW)
-        offsets = np.bitwise_count(np.arange(cols, dtype=np.uint32)).astype(np.intp) * width
-        counts = np.zeros((n + 1) * width, dtype=np.int64)
-        for r, row in enumerate(table.reshape(-1, cols)):
-            counts += np.bincount(offsets + row + r.bit_count() * width, minlength=counts.size)
-        seen.append(counts.reshape(n + 1, width) > 0)
+    _check_enumerable(n)
+    cols = min(1 << n, _ROW)
+    offsets = np.bitwise_count(np.arange(cols, dtype=np.uint32)).astype(np.intp) * width
+    seen = [
+        sum(
+            np.bincount(offsets + row + r.bit_count() * width, minlength=(n + 1) * width)
+            for r, row in enumerate(_subset_table(graph, boundary).reshape(-1, cols))
+        ).reshape(n + 1, width) > 0
+        for boundary in (False, True)
+    ]
     induced_max = (width - 1 - seen[0][:, ::-1].argmax(axis=1)).tolist()
     boundary_min = seen[1].argmax(axis=1).tolist()
     return induced_max, boundary_min
@@ -142,18 +144,16 @@ def brute_force_tables(graph: Graph) -> tuple[list[int], list[int]]:
 
 def _first_best(table: np.ndarray, m: int, sign: int) -> int:
     """The lowest subset of size m at which sign * table is largest, found a
-    row of the lattice at a time from the columns of each popcount."""
+    row of the lattice at a time from the columns of the right popcount."""
     cols = min(table.size, _ROW)
     col_size = np.bitwise_count(np.arange(cols, dtype=np.uint32))
-    by_size = [np.flatnonzero(col_size == k) for k in range(cols.bit_length())]
-    best, best_value = -1, None
+    best, best_value = -1, -np.inf
     for r, row in enumerate(table.reshape(-1, cols)):
-        k = m - r.bit_count()
-        if 0 <= k < len(by_size):
-            sel = by_size[k]
+        sel = np.flatnonzero(col_size == m - r.bit_count())
+        if sel.size:
             values = sign * row[sel]
             i = int(values.argmax())
-            if best_value is None or values[i] > best_value:
+            if values[i] > best_value:
                 best, best_value = r * cols + int(sel[i]), values[i]
     return best
 

@@ -332,24 +332,22 @@ def certify(bc: BcGraph) -> LayoutReport:
     The graph's edge array is read as one block; see `certify_tree`.
     """
     _check_sizes(bc.graph, 1 << bc.tree.dimension)
-    edges = bc.graph.edge_array
-    return _identity_report(bc.dimension, bc.graph.vertex_count, [(edges[:, 0], edges[:, 1])])
+    return _identity_report(bc.dimension, bc.graph.vertex_count, [bc.graph.edge_array.T])
 
 
 def certify_tree(tree: ConstructionTree) -> LayoutReport:
     """`certify` of the graph a construction tree describes, read from the
     tree's level rows one level at a time, so the graph is never built."""
     _check_cap(tree.dimension, MAX_DIMENSION_CAP)
-    rows = ((u, v) for _, u, v in level_rows(tree))
-    return _identity_report(tree.dimension, 1 << tree.dimension, rows)
+    blocks = ((u, v) for _, u, v in level_rows(tree))
+    return _identity_report(tree.dimension, 1 << tree.dimension, blocks)
 
 
 def _identity_report(n: int, size: int, blocks) -> LayoutReport:
-    """Report of the identity arrangement on `size` vertices against the
-    dimension-n closed form, from blocks of edges (u, v) with u < v. Under
-    f(v) = v + 1 an edge spans v - u, and entry c of the profile (the cut
-    after position c + 1) counts the edges with u <= c < v: the running sum
-    of the starts u minus the stops v."""
+    """The identity arrangement on `size` vertices against the dimension-n
+    bound, from blocks of edge pairs u < v: an edge spans v - u, and cut c (after
+    position c + 1) counts the edges with u <= c < v, a running sum of the
+    starts u minus the stops v."""
     cost = 0
     delta = np.zeros(size, dtype=np.int64)
     for u, v in blocks:

@@ -201,8 +201,6 @@ def cross_matching_cost(n: int, phi) -> int:
     """Span contributed by the matching edges (v, phi[v] + half) when both
     halves keep their recursive arrangements. Every term is positive, so the
     sum collapses to 4**(n-1) regardless of the permutation."""
-    if n < 1:
-        raise ValueError("dimension must be positive")
     half = 1 << (n - 1)
     phi = check_permutation(phi, half)
     return sum(abs((phi[v] + half + 1) - (v + 1)) for v in range(half))

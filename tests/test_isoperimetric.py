@@ -261,6 +261,10 @@ def test_enumeration_limit_enforced():
         brute_force_tables(big)
     with pytest.raises(EnumerationLimitError):
         brute_force_max_induced(big, 2)
+    huge = Graph(2**62, [(0, 1)])  # refused before any 2**N-sized work
+    for check in (brute_force_tables, lambda g: brute_force_min_boundary(g, 2)):
+        with pytest.raises(EnumerationLimitError):
+            check(huge)
     with pytest.raises(ValueError):
         brute_force_max_induced(hypercube(2).graph, 5)
 
