@@ -18,6 +18,7 @@ from .isoperimetric import EnumerationLimitError
 from .layout import (
     BRANCH_AND_BOUND_VERTEX_LIMIT,
     EXHAUSTIVE_VERTEX_LIMIT,
+    LinearArrangement,
     SolverLimitError,
     bc_arrangement,
     certify,
@@ -146,14 +147,11 @@ def _source(args, load):
 
 
 def _tree_source(args):
-    """The construction tree from --family flags, built without its edges,
-    or read from --input with the BcGraph it came with (else None)."""
+    """`_source` of a graph JSON document that carries a construction tree."""
     spec, doc = _source(args, formats.load_graph_json)
-    if spec is not None:
-        return families.build_tree(spec, cap=args.cap), None
-    if doc.tree is None:
+    if doc is not None and doc.tree is None:
         raise ValueError(f"{args.input} carries no construction tree")
-    return doc.tree, doc.to_bc()
+    return spec, doc
 
 
 def _witness_is_valid(bc, err) -> bool:
@@ -192,9 +190,12 @@ def _cmd_table(args, out, err) -> int:
 
 
 def _cmd_arrange(args, out, err) -> int:
-    tree, _ = _tree_source(args)
+    spec, doc = _tree_source(args)
+    if spec is not None:  # the arrangement needs the dimension alone: no tree
+        families.check_spec(spec, cap=args.cap)
+    n = doc.tree.dimension if spec is None else spec.dimension
     with _open_out(args.output, out) as fp:
-        formats.dump_arrangement(bc_arrangement(tree), fp)
+        formats.dump_arrangement(LinearArrangement.identity(1 << n), fp)
     return 0
 
 
@@ -212,10 +213,11 @@ def _cmd_eval(args, out, err) -> int:
 
 
 def _cmd_certify(args, out, err) -> int:
-    tree, bc = _tree_source(args)
-    if bc is None:
-        report = certify_tree(tree)
+    spec, doc = _tree_source(args)
+    if spec is not None:
+        report = certify_tree(families.build_tree(spec, cap=args.cap))
     else:
+        bc = doc.to_bc()
         _check_cap(bc.dimension, args.cap)  # before validate re-materializes
         if not _witness_is_valid(bc, err):
             return 1

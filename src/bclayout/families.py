@@ -97,9 +97,8 @@ def build_tree(spec: FamilySpec, *, cap: int = DEFAULT_DIMENSION_CAP) -> Constru
     """The construction tree a FamilySpec describes, without its edges.
     The cap and the seed are checked before any tree node is made."""
     n = spec.dimension
-    _check_cap(n, cap)
+    seed = check_spec(spec, cap=cap)
     if spec.kind == "random":
-        seed = check_seed(spec.seed)
         drawn = _random_tree_by_level(n, seed)
         return _random_tree(n, SplitMix64(seed)) if drawn is None else drawn
     if spec.kind in ("mobius-0", "mobius-1"):
@@ -112,6 +111,13 @@ def build_tree(spec: FamilySpec, *, cap: int = DEFAULT_DIMENSION_CAP) -> Constru
             phi = (x ^ (1 << (d - 2)) if x & 1 else x for x in phi)
         tree = Node(tree, tree, tuple(phi))
     return tree
+
+
+def check_spec(spec: FamilySpec, *, cap: int = DEFAULT_DIMENSION_CAP) -> int | None:
+    """The checks `build_tree` makes first: the cap, then a random member's
+    seed, which is returned as an int (None for the other kinds)."""
+    _check_cap(spec.dimension, cap)
+    return check_seed(spec.seed) if spec.kind == "random" else None
 
 
 def _mobius_tree(n: int, variant: int) -> ConstructionTree:

@@ -143,34 +143,36 @@ def _check_sizes(graph: Graph, vertex_count: int) -> None:
 
 def arrangement_cost(graph: Graph, arrangement: LinearArrangement) -> int:
     """Total edge span sum(|f(u) - f(v)|), exact."""
-    _check_sizes(graph, len(arrangement))
-    edges = graph.edge_array
-    if edges.shape[0] == 0:
-        return 0
-    pos = arrangement.positions
-    # int64 is exact here: every span < N and M*N stays far below 2**63
-    spans = pos[edges[:, 0]]
-    spans -= pos[edges[:, 1]]
-    return int(np.abs(spans, out=spans).sum())
+    ((lo, hi),) = _slot_pairs(graph, arrangement)
+    return int(hi.sum()) - int(lo.sum())
 
 
 def cut_profile(graph: Graph, arrangement: LinearArrangement) -> CutProfile:
     """Crossing-edge counts for every cut of the arrangement."""
+    return _accumulate(graph.vertex_count, _slot_pairs(graph, arrangement))[1]
+
+
+def _slot_pairs(graph: Graph, arrangement: LinearArrangement):
+    """The edges as one block of slot pairs lo <= hi; slot = position - 1."""
     _check_sizes(graph, len(arrangement))
-    n = graph.vertex_count
+    slots = arrangement.positions - 1
     edges = graph.edge_array
-    if edges.shape[0] == 0:
-        return CutProfile((0,) * (n - 1))
-    pos = arrangement.positions
-    pu = pos[edges[:, 0]]
-    pv = pos[edges[:, 1]]
-    # An edge crosses cut i exactly when min <= i < max of its positions, so
-    # the running sum of (#edges starting at i) - (#edges ending at i) is the
-    # crossing count. At most three M-length arrays are alive at once.
-    stops = np.bincount(np.maximum(pu, pv), minlength=n + 1)
-    starts = np.bincount(np.minimum(pu, pv, out=pu), minlength=n + 1)
-    running = np.cumsum(starts - stops)
-    return CutProfile(tuple(running[1:n].tolist()))
+    lo, hi = slots[edges[:, 0]], slots[edges[:, 1]]
+    return [(np.minimum(lo, hi), np.maximum(lo, hi, out=hi))]  # min reads hi first
+
+
+def _accumulate(size: int, blocks) -> tuple[int, CutProfile]:
+    """Total span and cut profile of blocks of slot pairs lo <= hi in
+    0..size-1: an edge spans hi - lo, and cut c (after slot c) counts the
+    edges with lo <= c < hi, a running sum of the starts lo minus the stops
+    hi. int64 is exact here: every span < N and M*N stays far below 2**63."""
+    cost = 0
+    delta = np.zeros(size, dtype=np.int64)
+    for lo, hi in blocks:
+        cost += int(hi.sum()) - int(lo.sum())
+        delta += np.bincount(lo.ravel(), minlength=size)
+        delta -= np.bincount(hi.ravel(), minlength=size)
+    return cost, CutProfile(tuple(np.cumsum(delta)[: size - 1].tolist()))
 
 
 def bc_arrangement(tree: ConstructionTree) -> LinearArrangement:
@@ -329,10 +331,11 @@ def certify(bc: BcGraph) -> LayoutReport:
     """Evaluate the construction-tree arrangement against the closed-form
     lower bound. Equality of achieved cost and universal lower bound proves
     minimality outright, so for a valid BC graph this reports optimal=True.
-    The graph's edge array is read as one block; see `certify_tree`.
+    The arrangement is the identity, slot v for vertex v, so the edge array
+    is read as one block of slot pairs; see `certify_tree`.
     """
     _check_sizes(bc.graph, 1 << bc.tree.dimension)
-    return _identity_report(bc.dimension, bc.graph.vertex_count, [bc.graph.edge_array.T])
+    return _bc_report(bc.dimension, bc.graph.vertex_count, [bc.graph.edge_array.T])
 
 
 def certify_tree(tree: ConstructionTree) -> LayoutReport:
@@ -340,21 +343,11 @@ def certify_tree(tree: ConstructionTree) -> LayoutReport:
     tree's level rows one level at a time, so the graph is never built."""
     _check_cap(tree.dimension, MAX_DIMENSION_CAP)
     blocks = ((u, v) for _, u, v in level_rows(tree))
-    return _identity_report(tree.dimension, 1 << tree.dimension, blocks)
+    return _bc_report(tree.dimension, 1 << tree.dimension, blocks)
 
 
-def _identity_report(n: int, size: int, blocks) -> LayoutReport:
-    """The identity arrangement on `size` vertices against the dimension-n
-    bound, from blocks of edge pairs u < v: an edge spans v - u, and cut c (after
-    position c + 1) counts the edges with u <= c < v, a running sum of the
-    starts u minus the stops v."""
-    cost = 0
-    delta = np.zeros(size, dtype=np.int64)
-    for u, v in blocks:
-        cost += int(v.sum()) - int(u.sum())
-        delta += np.bincount(u.ravel(), minlength=size)
-        delta -= np.bincount(v.ravel(), minlength=size)
-    profile = CutProfile(tuple(np.cumsum(delta)[: size - 1].tolist()))
+def _bc_report(n: int, size: int, blocks) -> LayoutReport:
+    cost, profile = _accumulate(size, blocks)
     bound = lower_bound_closed(n)
     return LayoutReport(cost, bound, bound, profile, cost == bound)
 
@@ -371,8 +364,7 @@ def evaluate_arrangement(
     otherwise the generic enumeration bound is used, which limits the graph
     to the subset-enumeration size.
     """
-    cost = arrangement_cost(graph, arrangement)
-    profile = cut_profile(graph, arrangement)
+    cost, profile = _accumulate(graph.vertex_count, _slot_pairs(graph, arrangement))
     if witness is not None:
         bound = lower_bound_closed(witness.dimension)
         closed: int | None = bound

@@ -156,9 +156,12 @@ def test_certify_human_output():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_family_commands_build_no_edges(kind, monkeypatch):
-    # certify and arrange read the construction tree alone
+    # certify reads the construction tree alone, and arrange not even that
     def no_materialize(tree):
         raise AssertionError("the graph was materialized")
+
+    def no_tree(spec, cap):
+        raise AssertionError("the tree was built")
 
     monkeypatch.setattr(core, "materialize", no_materialize)
     monkeypatch.setattr(families, "materialize", no_materialize)
@@ -168,9 +171,19 @@ def test_family_commands_build_no_edges(kind, monkeypatch):
     report = json.loads(out)
     assert report["cost"] == report["lower_bound"] == 32 * 63
     assert report["cuts"] == [edge_boundary(6, m) for m in range(1, 64)]
+    monkeypatch.setattr(families, "build_tree", no_tree)
     status, out, _ = invoke("arrange", *flags)
     assert status == 0
     assert out.splitlines() == [f"{v} {v + 1}" for v in range(64)]
+
+
+def test_arrange_family_checks_the_cap_and_the_seed():
+    status, _, err = invoke("arrange", "--family", "hypercube", "-n", "5", "--cap", "3")
+    assert status == 3
+    assert "cap" in err
+    assert_input_error("arrange", "--family", "hypercube", "-n", "3", "--cap", "27")
+    assert_input_error("arrange", "--family", "random", "-n", "3", "--seed", "-1")
+    assert_input_error("arrange", "--family", "random", "-n", "3")
 
 
 def test_out_of_memory_is_resource_error(monkeypatch):

@@ -1,15 +1,15 @@
-"""Run one command in a child process under an address-space limit and
+"""Run one command in a child process under a 7 GB address-space limit and
 report its exit code, wall time and peak resident memory.
 
-    python3 tools/peak_rss.py [--limit-gb G] CMD [ARG ...]
+    python3 tools/peak_rss.py CMD [ARG ...]
 
-The limit (RLIMIT_AS, default 7 GB) is set in the child alone, between fork
-and exec, so neither this process nor the machine is changed. The child's
-standard output is discarded, as a large report would otherwise dominate
-the measurement's terminal; its standard error is passed through. One JSON
-line goes to standard output:
+The limit (RLIMIT_AS) is set in the child alone, between fork and exec, so
+neither this process nor the machine is changed. The child's standard
+output is discarded, as a large report would otherwise dominate the
+measurement's terminal; its standard error is passed through. One JSON line
+goes to standard output:
 
-    {"exit": 0, "wall_s": 0.61, "maxrss_mb": 177.2, "limit_gb": 7.0}
+    {"exit": 0, "wall_s": 0.61, "maxrss_mb": 177.2}
 
 `exit` is the child's exit status, or minus the signal that ended it.
 `maxrss_mb` is the child's `ru_maxrss` (KiB on Linux) in MiB. Exit status:
@@ -18,7 +18,6 @@ line goes to standard output:
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import resource
@@ -26,16 +25,17 @@ import subprocess
 import sys
 import time
 
+LIMIT_BYTES = 7 << 30
 
-def measure(cmd: list[str], limit_gb: float = 7.0) -> dict:
+
+def _set_limit():
+    resource.setrlimit(resource.RLIMIT_AS, (LIMIT_BYTES, LIMIT_BYTES))
+
+
+def measure(cmd: list[str]) -> dict:
     """Run `cmd` under the limit and return the line's fields."""
-    limit = int(limit_gb * (1 << 30))
-
-    def set_limit():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
     start = time.perf_counter()
-    child = subprocess.Popen(cmd, stdout=subprocess.DEVNULL, preexec_fn=set_limit)
+    child = subprocess.Popen(cmd, stdout=subprocess.DEVNULL, preexec_fn=_set_limit)
     _, status, usage = os.wait4(child.pid, 0)
     wall = time.perf_counter() - start
     child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
@@ -43,20 +43,15 @@ def measure(cmd: list[str], limit_gb: float = 7.0) -> dict:
         "exit": child.returncode,
         "wall_s": round(wall, 3),
         "maxrss_mb": round(usage.ru_maxrss / 1024, 1),
-        "limit_gb": limit_gb,
     }
 
 
 def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="peak_rss.py", description=__doc__.splitlines()[0])
-    parser.add_argument("--limit-gb", type=float, default=7.0)
-    parser.add_argument("cmd", nargs=argparse.REMAINDER)
-    args = parser.parse_args(argv)
-    if not args.cmd or args.limit_gb <= 0:
-        parser.print_usage(sys.stderr)
+    if not argv:
+        print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
         return 2
     try:
-        result = measure(args.cmd, args.limit_gb)
+        result = measure(argv)
     except OSError as exc:  # the command could not be started
         print(f"error: {exc}", file=sys.stderr)
         return 2
