@@ -218,7 +218,7 @@ def _cmd_certify(args, out, err) -> int:
         report = certify_tree(families.build_tree(spec, cap=args.cap))
     else:
         bc = doc.to_bc()
-        _check_cap(bc.dimension, args.cap)  # before validate re-materializes
+        _check_cap(bc.dimension, args.cap)  # before any work on the witness
         if not _witness_is_valid(bc, err):
             return 1
         report = certify(bc)

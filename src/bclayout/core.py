@@ -4,7 +4,8 @@ A bijective-connection (BC) graph of dimension n is built recursively: the
 dimension-1 graph is a single edge, and a dimension-n graph joins two
 dimension-(n-1) graphs by a perfect matching induced by a bijection ``phi``
 between their vertex sets. Every graph produced here carries its
-construction tree as an explicit witness.
+construction tree as an explicit witness: one array of phi rows per level
+(`ConstructionTree`), not one object per tree node.
 
 Vertex id convention: a left-subtree vertex keeps its local id, a
 right-subtree vertex is shifted by half the vertex count, so the top bit
@@ -22,8 +23,9 @@ matching straight into the rows that sorting by (u, v) would give it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
-from typing import Iterator, Union
+from dataclasses import dataclass
+from itertools import chain
+from typing import Iterator
 
 import numpy as np
 
@@ -37,32 +39,25 @@ class DimensionCapError(ValueError):
     """Materializing this dimension would exceed the configured cap."""
 
 
-def check_permutation(values, size: int) -> tuple[int, ...]:
-    """Return `values` as a tuple of Python ints when it is a permutation of
-    0..size-1; raise ValueError otherwise, including for bool, float and
-    other non-integer entries.
-
-    A plain loop, not numpy: a random tree of dimension n checks 2**(n-1) - 1
-    permutations, most of 2 to 8 elements, where numpy's per-call overhead
-    costs more than the loop.
-    """
-    if bool in map(type, values):
-        raise ValueError("permutation entries must be integers, not bool")
-    try:
-        # operator.index returns an exact int as the same object
-        phi = tuple(map(operator.index, values))
-    except TypeError as exc:
-        raise ValueError(f"permutation entries must be integers: {exc}") from exc
-    if len(phi) != size:
-        raise ValueError(f"expected a permutation of {size} elements, got {len(phi)}")
-    seen = bytearray(size)
-    for x in phi:
-        if not 0 <= x < size:
-            raise ValueError(f"permutation value {x} out of range 0..{size - 1}")
-        if seen[x]:
-            raise ValueError(f"permutation repeats value {x}")
-        seen[x] = 1
-    return phi
+def check_permutation(rows, size: int) -> np.ndarray:
+    """Return `rows`, a tree level's (count, size) array-like of permutations,
+    as a read-only int32 array; raise ValueError unless every row permutes
+    0..size-1 with integer (not bool) entries. One vectorized pass a level."""
+    arr = np.asarray(rows)  # ragged rows raise ValueError here
+    if arr.ndim != 2 or arr.shape[1] != size:
+        raise ValueError(f"expected permutations of {size} elements, got shape {arr.shape}")
+    scan = () if arr is rows else chain.from_iterable(rows)  # bools hide in int lists
+    if arr.dtype.kind not in "iu" or bool in map(type, scan):
+        raise ValueError("permutation entries must be integers")
+    if arr.min() < 0 or arr.max() >= size:
+        raise ValueError(f"permutation value out of range 0..{size - 1}")
+    arr = arr.astype(np.int32, copy=arr is rows and arr.flags.writeable)
+    seen = np.zeros(arr.shape, dtype=bool)
+    np.put_along_axis(seen, arr, True, axis=1)
+    if not seen.all():
+        raise ValueError(f"permutation row {np.argmin(seen.all(axis=1))} repeats a value")
+    arr.setflags(write=False)
+    return arr
 
 
 def _check_cap(dimension: int, cap: int) -> None:
@@ -161,40 +156,66 @@ def _strictly_increasing(lo: np.ndarray, hi: np.ndarray) -> bool:
     return bool(((lo0 < lo1) | ((lo0 == lo1) & (hi[:-1] < hi[1:]))).all())
 
 
-@dataclass(frozen=True)
-class Leaf:
-    """Construction-tree base case: the single-edge graph on two vertices."""
+@dataclass(frozen=True, eq=False)
+class ConstructionTree:
+    """A construction tree of dimension n, one matching per level: for d =
+    2..n, `levels[d - 2]` holds read-only arrays (phis, which) of permutation
+    rows, (rows, 2**(d-1)) int32, and of the row of each level-d block. Block
+    b joins blocks 2b and 2b + 1 below with v -> phis[which[b]][v]. Shared
+    subtrees share rows; every row is checked to be a permutation."""
 
-    @property
-    def dimension(self) -> int:
-        return 1
-
-
-@dataclass(frozen=True)
-class Node:
-    """Inner construction-tree node joining two equal-dimension subtrees.
-
-    `phi` maps left-subtree local ids to right-subtree local ids; the
-    materialized graph gains the matching edge (v, phi[v] + half) for every v.
-    """
-
-    left: "ConstructionTree"
-    right: "ConstructionTree"
-    phi: tuple[int, ...]
-    dimension: int = field(init=False, compare=False)
+    dimension: int
+    levels: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
 
     def __post_init__(self):
-        if self.left.dimension != self.right.dimension:
+        n = self.dimension
+        if len(self.levels) != n - 1:
+            raise ValueError(f"a dimension-{n} tree has {n - 1} levels")
+        levels = []
+        for d, (phis, which) in enumerate(self.levels, start=2):
+            try:
+                phis = check_permutation(phis, 1 << (d - 1))
+            except ValueError as exc:
+                raise ValueError(f"tree level {d}: {exc}") from exc
+            which = np.array(which)
+            if which.shape != (1 << (n - d),) or which.dtype.kind not in "iu" or not (
+                0 <= which.min() <= which.max() < len(phis)
+            ):
+                raise ValueError(f"tree level {d} needs a row index per block")
+            which.setflags(write=False)
+            levels.append((phis, which))
+        object.__setattr__(self, "levels", tuple(levels))
+
+    @property
+    def phi(self) -> tuple[int, ...]:
+        """The top permutation, as a tuple of ints."""
+        if not self.levels:
+            raise AttributeError("a dimension-1 tree has no permutation")
+        phis, which = self.levels[-1]
+        return tuple(phis[which[0]].tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ConstructionTree):
+            return NotImplemented
+        return self.dimension == other.dimension and all(
+            np.array_equal(p[w], q[x])
+            for (p, w), (q, x) in zip(self.levels, other.levels)
+        )
+
+
+class Node:
+    """`Node(left, right, phi)` is the construction tree joining two trees of
+    equal dimension with the matching v -> phi[v] + half."""
+
+    def __new__(cls, left: ConstructionTree, right: ConstructionTree, phi) -> ConstructionTree:
+        if left.dimension != right.dimension:
             raise ValueError("left and right subtrees must have equal dimension")
-        phi = check_permutation(self.phi, 1 << self.left.dimension)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "dimension", self.left.dimension + 1)
-
-    def __repr__(self) -> str:
-        return f"Node(dimension={self.dimension})"
-
-
-ConstructionTree = Union[Leaf, Node]
+        levels = [
+            (np.concatenate([lp, rp]), np.concatenate([lw, rw.astype(np.intp) + len(lp)]))
+            for (lp, lw), (rp, rw) in zip(left.levels, right.levels)
+        ]
+        levels.append(([phi], [0]))
+        return ConstructionTree(left.dimension + 1, tuple(levels))
 
 
 @dataclass(frozen=True)
@@ -212,45 +233,44 @@ class BcGraph:
 
 def level_rows(tree: ConstructionTree) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield (d, u, v) for the levels d = n..1 of a construction tree: the
-    level-d matching edges as two (blocks, 2**(d-1)) arrays, u = base + x
-    and v = base + half + phi[x] in the block at base. Each distinct subtree
-    at a level is read once and broadcast over the blocks it fills."""
-    # nodes: the distinct subtrees of this level; which[b]: the one in block b
-    nodes, which = [tree], np.zeros(1, dtype=np.intp)
-    for d in range(tree.dimension, 0, -1):
+    level-d matching edges as two (blocks, 2**(d-1)) int64 arrays, u = base + x
+    and v = base + half + phi[x] in the block at base. A level's rows are
+    read from its phi array through its block index."""
+    n = tree.dimension
+    for d in range(n, 0, -1):
         half = 1 << (d - 1)
-        # a leaf is the edge (0, 1): one-vertex halves joined by phi = (0,)
-        phi = [node.phi for node in nodes] if d > 1 else [(0,)] * len(nodes)
-        base = (np.arange(which.size, dtype=np.int64) << d)[:, None]
-        v = np.array(phi, dtype=np.int64)[which]
-        v += base + half
-        yield d, base + np.arange(half), v
+        base = (np.arange(1 << (n - d), dtype=np.int64) << d)[:, None]
         if d > 1:
-            kids = [kid for node in nodes for kid in (node.left, node.right)]
-            _, firsts, kid_of = np.unique(
-                list(map(id, kids)), return_index=True, return_inverse=True
-            )
-            nodes = [kids[i] for i in firsts]
-            which = kid_of.reshape(-1, 2)[which].ravel()
+            phis, which = tree.levels[d - 2]
+            v = phis[which] + (base + half)
+        else:  # a leaf is the edge (0, 1): one-vertex halves joined by phi = (0,)
+            v = base + half
+        yield d, base + np.arange(half), v
+
+
+def _canonical_levels(tree: ConstructionTree):
+    """`level_rows` with the canonical edge rows each level fills: u's rows
+    follow the n - popcount(w) upper neighbours of every w < u, its level-d
+    row one per zero bit of u below bit d-1 (see the module docstring)."""
+    n = tree.dimension
+    upper = n - np.bitwise_count(np.arange(1 << n)).astype(np.int64)
+    first = np.cumsum(upper) - upper
+    for d, u, v in level_rows(tree):
+        yield d, first[u] + (d - 1 - np.bitwise_count(np.arange(1 << (d - 1)))), u, v
 
 
 def materialize(tree: ConstructionTree) -> Graph:
     """Build the concrete graph described by a construction tree.
 
-    Writes each level's rows from `level_rows` into u's canonical rows: they
-    start after the n - popcount(w) upper neighbours of every w < u, and the
-    level-d edge follows one row per zero bit of u below bit d-1 (see the
-    module docstring), so Graph finds the rows sorted. Raises
-    DimensionCapError above MAX_DIMENSION_CAP; a smaller cap is the caller's.
+    Writes each level's rows into their canonical slots, so Graph finds the
+    rows sorted. Raises DimensionCapError above MAX_DIMENSION_CAP; a smaller
+    cap is the caller's.
     """
     n = tree.dimension
     if n > MAX_DIMENSION_CAP:
         raise DimensionCapError(f"dimension {n} exceeds the ceiling {MAX_DIMENSION_CAP}")
-    upper = n - np.bitwise_count(np.arange(1 << n)).astype(np.int64)
-    first = np.cumsum(upper) - upper
     edges = np.empty((n << (n - 1), 2), dtype=np.int64)
-    for d, u, v in level_rows(tree):
-        rows = first[u] + (d - 1 - np.bitwise_count(np.arange(1 << (d - 1))))
+    for _, rows, u, v in _canonical_levels(tree):
         edges[rows, 0] = u
         edges[rows, 1] = v
     edges.setflags(write=False)  # so Graph adopts it without a copy
@@ -279,12 +299,13 @@ class ValidationReport:
 
 
 def validate(bc: BcGraph) -> ValidationReport:
-    """Check every BcGraph invariant; violations are reported, not raised."""
+    """Check every BcGraph invariant; violations are reported, not raised.
+    The edges are compared with the tree's matchings level by level from the
+    top, and the first level and block that differ are named."""
     violations: list[str] = []
     n = bc.dimension
     if n < 1:
-        violations.append(f"dimension {n} is not positive")
-        return ValidationReport(False, tuple(violations))
+        return ValidationReport(False, (f"dimension {n} is not positive",))
     if bc.tree.dimension != n:
         violations.append(
             f"construction tree has dimension {bc.tree.dimension}, expected {n}"
@@ -299,6 +320,8 @@ def validate(bc: BcGraph) -> ValidationReport:
         violations.append(
             f"graph has {bc.graph.edge_count} edges, expected {expected_edges}"
         )
+    # with these sizes the tree's levels fill exactly the canonical edge rows
+    sized = not violations
     degrees = bc.graph.degrees()
     bad = np.flatnonzero(degrees != n)
     if bad.size:
@@ -307,15 +330,14 @@ def validate(bc: BcGraph) -> ValidationReport:
         )
         more = "" if bad.size <= 8 else f" (and {bad.size - 8} more)"
         violations.append(f"not {n}-regular: {sample}{more}")
-    if bc.tree.dimension == n:
-        if n <= MAX_DIMENSION_CAP:
-            rebuilt = materialize(bc.tree)
-            if rebuilt != bc.graph:
-                violations.append(
-                    "graph edges differ from those generated by the construction tree"
-                )
-        else:
+    edges = bc.graph.edge_array
+    for d, rows, u, v in _canonical_levels(bc.tree) if sized else ():
+        wrong = ((edges[rows, 0] != u) | (edges[rows, 1] != v)).any(axis=1)
+        if wrong.any():
+            b = int(np.argmax(wrong))
             violations.append(
-                f"dimension {n} is too large to re-materialize the witness"
+                "graph edges differ from those generated by the construction tree: "
+                f"level {d}, block {b} (vertices {b << d}..{(b + 1 << d) - 1})"
             )
+            break
     return ValidationReport(not violations, tuple(violations))

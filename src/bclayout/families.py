@@ -1,9 +1,10 @@
 """Constructors for canonical BC-graph families and seeded random members.
 
 Every constructor returns a BcGraph whose construction tree fully witnesses
-how it was built; `build_tree` returns the tree alone. Random members draw
-one uniform permutation per tree node from a pinned SplitMix64 stream, so a
-(dimension, seed) pair is reproducible across platforms.
+how it was built; `build_tree` returns the tree alone, one row array per
+level: one shared row (two for the Mobius cubes) or, for a random member,
+one uniform permutation per block, drawn a level at a time from a pinned
+SplitMix64 stream, so a (dimension, seed) pair is reproducible anywhere.
 """
 
 from __future__ import annotations
@@ -16,16 +17,12 @@ from .core import (
     BcGraph,
     ConstructionTree,
     DEFAULT_DIMENSION_CAP,
-    Leaf,
-    Node,
     _check_cap,
     materialize,
 )
-from .rng import SplitMix64, bounded_draws, check_seed, shuffle_rows
+from .rng import bounded_draws, check_seed, shuffle_rows
 
 KINDS = ("hypercube", "locally-twisted", "mobius-0", "mobius-1", "random")
-
-_LEAF = Leaf()
 
 
 @dataclass(frozen=True)
@@ -81,8 +78,8 @@ def random_bc(n: int, seed: int, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph
     Every tree node independently draws a uniform permutation. The stream
     order is pinned (left subtree, right subtree, then the node's own
     permutation), so equal (n, seed) always yields an identical graph.
-    The draws are made a level at a time from the stream's counter; if any
-    of them is rejected, the tree is drawn again through the scalar stream.
+    The draws are made a level at a time from the stream's counter, and a
+    rejected draw delays every later one, as it does in the scalar stream.
     """
     return build(FamilySpec("random", n, seed), cap=cap)
 
@@ -95,22 +92,24 @@ def build(spec: FamilySpec, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph:
 
 def build_tree(spec: FamilySpec, *, cap: int = DEFAULT_DIMENSION_CAP) -> ConstructionTree:
     """The construction tree a FamilySpec describes, without its edges.
-    The cap and the seed are checked before any tree node is made."""
+    The cap and the seed are checked before any level is made."""
     n = spec.dimension
     seed = check_spec(spec, cap=cap)
     if spec.kind == "random":
-        drawn = _random_tree_by_level(n, seed)
-        return _random_tree(n, SplitMix64(seed)) if drawn is None else drawn
-    if spec.kind in ("mobius-0", "mobius-1"):
-        return _mobius_tree(n, int(spec.kind[-1]))
-    # hypercube and locally twisted cube: one shared subtree per level
-    tree: ConstructionTree = _LEAF
+        return ConstructionTree(n, tuple(_random_levels(n, seed)))
+    levels = []
     for d in range(2, n + 1):
-        phi = range(1 << (d - 1))
+        x = np.arange(1 << (d - 1), dtype=np.int32)
+        which = np.zeros(1 << (n - d), dtype=np.int8)
         if spec.kind == "locally-twisted" and d > 2:
-            phi = (x ^ (1 << (d - 2)) if x & 1 else x for x in phi)
-        tree = Node(tree, tree, tuple(phi))
-    return tree
+            x ^= (x & 1) << (d - 2)
+        if spec.kind.startswith("mobius") and d < n:
+            # variant 0 (identity) left of every join, variant 1 (complement) right
+            rows, which[1::2] = [x, x[::-1]], 1
+        else:
+            rows = [x[::-1] if spec.kind == "mobius-1" else x]
+        levels.append((np.array(rows), which))
+    return ConstructionTree(n, tuple(levels))
 
 
 def check_spec(spec: FamilySpec, *, cap: int = DEFAULT_DIMENSION_CAP) -> int | None:
@@ -120,42 +119,25 @@ def check_spec(spec: FamilySpec, *, cap: int = DEFAULT_DIMENSION_CAP) -> int | N
     return check_seed(spec.seed) if spec.kind == "random" else None
 
 
-def _mobius_tree(n: int, variant: int) -> ConstructionTree:
-    # zero and one are the variant-0 and variant-1 trees of dimension d - 1;
-    # both variants of dimension d join them, and only the requested variant
-    # is built at the top.
-    zero = one = _LEAF
-    for d in range(2, n + 1):
-        half = 1 << (d - 1)
-        phis = (range(half), range(half - 1, -1, -1))
-        if d == n:
-            return Node(zero, one, tuple(phis[variant]))
-        zero, one = Node(zero, one, tuple(phis[0])), Node(zero, one, tuple(phis[1]))
-    return _LEAF
-
-
-def _random_tree(d: int, rng: SplitMix64) -> ConstructionTree:
-    if d == 1:
-        return _LEAF
-    left = _random_tree(d - 1, rng)
-    right = _random_tree(d - 1, rng)
-    return Node(left, right, rng.permutation(1 << (d - 1)))
-
-
-def _random_tree_by_level(n: int, seed: int) -> ConstructionTree | None:
-    """`_random_tree(n, SplitMix64(seed))` built bottom-up, with each level's
-    draws made together; None when one of them would be rejected."""
-    level: list = [_LEAF] * (1 << (n - 1))
-    for d in range(2, n + 1):
-        size = 1 << (d - 1)
-        counters = _first_counters(n, d)[:, None] + np.arange(size - 1)
-        draws, rejected = bounded_draws(seed, counters, np.arange(size, 1, -1))
-        if rejected:
-            return None
-        kids = iter(level)
-        phis = shuffle_rows(draws)
-        level = [Node(left, right, phi) for left, right, phi in zip(kids, kids, phis)]
-    return level[0]
+def _random_levels(n: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The levels of a random member, one row per block, each level drawn at
+    once from the stream's counters (`_first_counters`). A rejected draw is
+    redrawn from the next counter, delaying every later one; so a pass shifts
+    the counters by the rejections known so far, and one that meets a new
+    rejection records the earliest and starts again (rare: almost never)."""
+    owners = np.empty(0, dtype=np.int64)  # the nominal draw of each rejection
+    while True:
+        levels, rejects = [], []
+        for d in range(2, n + 1):
+            size = 1 << (d - 1)
+            nominal = _first_counters(n, d)[:, None] + np.arange(size - 1)
+            counters = nominal + np.searchsorted(owners, nominal, side="right")
+            draws, rejected = bounded_draws(seed, counters, np.arange(size, 1, -1))
+            rejects += nominal[rejected].tolist()
+            levels.append((shuffle_rows(draws), np.arange(len(draws))))
+        if not rejects:
+            return levels
+        owners = np.sort(np.append(owners, min(rejects)))
 
 
 def _first_counters(n: int, d: int) -> np.ndarray:

@@ -17,35 +17,37 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import IO, Iterable
 
-from .core import BcGraph, ConstructionTree, Graph, Leaf, Node
+import numpy as np
+
+from .core import BcGraph, ConstructionTree, Graph
 from .isoperimetric import edge_boundary, max_induced_edges
 from .layout import LayoutReport, LinearArrangement
 
 
 def tree_to_json_obj(tree: ConstructionTree) -> dict:
-    if isinstance(tree, Leaf):
-        return {"leaf": True}
-    return {
-        "left": tree_to_json_obj(tree.left),
-        "right": tree_to_json_obj(tree.right),
-        "phi": list(tree.phi),
-    }
+    """The nested JSON object of a tree, built bottom-up a level at a time."""
+    objs = [{"leaf": True}] * (1 << (tree.dimension - 1))
+    for phis, which in tree.levels:
+        rows, kids = phis.tolist(), iter(objs)
+        objs = [{"left": a, "right": b, "phi": rows[k]} for a, b, k in zip(kids, kids, which)]
+    return objs[0]
 
 
 def tree_from_json_obj(obj) -> ConstructionTree:
-    if not isinstance(obj, dict):
-        raise ValueError("tree must be a JSON object")
-    if obj.get("leaf") is True:
-        return Leaf()
-    try:
-        left = obj["left"]
-        right = obj["right"]
-        phi = obj["phi"]
-    except KeyError as exc:
-        raise ValueError(f"tree node is missing key {exc}") from exc
-    if not isinstance(phi, list):  # Node rejects non-integer entries
-        raise ValueError("phi must be a list of integers")
-    return Node(tree_from_json_obj(left), tree_from_json_obj(right), tuple(phi))
+    """Parse a nested JSON tree a level at a time from the top; each level's
+    phi lists become one row array, checked when the tree is made."""
+    level, rows = [obj], []
+    while True:
+        leaves = [isinstance(o, dict) and o.get("leaf") is True for o in level]
+        if all(leaves):
+            return ConstructionTree(len(rows) + 1, tuple((p, np.arange(len(p))) for p in rows))
+        if any(leaves):
+            raise ValueError("left and right subtrees must have equal dimension")
+        try:
+            rows.insert(0, [o["phi"] for o in level])
+            level = [o[side] for o in level for side in ("left", "right")]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"a tree node needs 'left', 'right' and 'phi': {exc!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -84,8 +86,7 @@ def load_graph_json(fp: IO[str]) -> GraphDocument:
 
 
 def _parse_graph_json(text: str) -> GraphDocument:
-    # Nesting beyond the interpreter's recursion limit, in the JSON parser or
-    # in tree_from_json_obj, is malformed input.
+    # JSON nested beyond the interpreter's recursion limit is malformed input.
     try:
         return _graph_document(json.loads(text))
     except RecursionError as exc:

@@ -15,7 +15,6 @@ reject is reported, since the scalar stream then skips ahead.
 from __future__ import annotations
 
 import operator
-from typing import Iterator
 
 import numpy as np
 
@@ -25,8 +24,8 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 # shuffle_rows shuffles at least this many permutations one index at a time
-# across all of them in numpy, and fewer, larger ones in a list loop each;
-# either way it converts to Python ints this many rows or draws at a time.
+# across all of them in numpy, and fewer, larger ones in a list loop each,
+# converting this many draws at a time to Python ints.
 _BATCH_ROWS = 64
 _CHUNK = 4096
 
@@ -86,12 +85,12 @@ class SplitMix64:
         return tuple(items)
 
 
-def bounded_draws(seed: int, counters, bounds) -> tuple[np.ndarray, bool]:
+def bounded_draws(seed: int, counters, bounds) -> tuple[np.ndarray, np.ndarray]:
     """Draw number k of SplitMix64(seed) modulo its bound b, for every
     counter k and broadcast bound b >= 1, in wrapping uint64 arithmetic.
 
-    Also returns whether `randbelow` would have rejected any of them: a
-    draw z is rejected when 2**64 mod b != 0 and z >= 2**64 - (2**64 mod b).
+    Also returns where `randbelow` would have rejected the draw: a draw z is
+    rejected when 2**64 mod b != 0 and z >= 2**64 - (2**64 mod b).
     """
     bounds = np.asarray(bounds, dtype=np.uint64)
     # numpy warns when a 0-d operand wraps; the wrap is the arithmetic wanted
@@ -105,33 +104,31 @@ def bounded_draws(seed: int, counters, bounds) -> tuple[np.ndarray, bool]:
     z ^= z >> np.uint64(31)
     # 2**64 mod b, computed as (2**64 - b) mod b; its negation is the limit
     excess = np.negative(bounds) % bounds
-    rejected = bool(((excess != 0) & (z >= np.negative(excess))).any())
+    rejected = (excess != 0) & (z >= np.negative(excess))
     return z % bounds, rejected
 
 
-def shuffle_rows(draws: np.ndarray) -> Iterator[list[int]]:
+def shuffle_rows(draws: np.ndarray) -> np.ndarray:
     """Descending Fisher-Yates shuffles of 0..size-1, one per row of the
     (count, size - 1) array `draws`: entry t is the randbelow draw that
-    `shuffle` swaps with index size - 1 - t. Yields the permutations as
-    lists of ints, converting a few thousand rows or draws at a time."""
+    `shuffle` swaps with index size - 1 - t. Returns the permutations as a
+    read-only (count, size) int32 array."""
     count, steps = draws.shape
     size = steps + 1
+    perms = np.tile(np.arange(size, dtype=np.int32), (count, 1))
     if count >= _BATCH_ROWS:
         draws = draws.astype(np.intp)
-        perms = np.tile(np.arange(size), (count, 1))
         rows = np.arange(count)
         for t in range(steps):
             i, j = size - 1 - t, draws[:, t]
-            top = perms[:, i].copy()
-            perms[:, i] = perms[rows, j]
-            perms[rows, j] = top
-        for start in range(0, count, _CHUNK):
-            yield from perms[start : start + _CHUNK].tolist()
-        return
-    for row in draws:
-        items = list(range(size))
-        for start in range(0, steps, _CHUNK):
-            chunk = row[start : start + _CHUNK].tolist()
-            for i, j in zip(range(size - 1 - start, 0, -1), chunk):
-                items[i], items[j] = items[j], items[i]
-        yield items
+            perms[rows, i], perms[rows, j] = perms[rows, j], perms[rows, i]
+    else:
+        for row, perm in zip(draws, perms):
+            items = list(range(size))
+            for start in range(0, steps, _CHUNK):
+                chunk = row[start : start + _CHUNK].tolist()
+                for i, j in zip(range(size - 1 - start, 0, -1), chunk):
+                    items[i], items[j] = items[j], items[i]
+            perm[:] = items
+    perms.setflags(write=False)
+    return perms

@@ -202,7 +202,7 @@ def cross_matching_cost(n: int, phi) -> int:
     halves keep their recursive arrangements. Every term is positive, so the
     sum collapses to 4**(n-1) regardless of the permutation."""
     half = 1 << (n - 1)
-    phi = check_permutation(phi, half)
+    (phi,) = check_permutation([phi], half).tolist()
     return sum(abs((phi[v] + half + 1) - (v + 1)) for v in range(half))
 
 

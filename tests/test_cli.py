@@ -360,3 +360,34 @@ def test_boolean_edge_endpoint_is_input_error(tmp_path):
     gpath = tmp_path / "g.json"
     gpath.write_text('{"dimension":1,"edges":[[0,true]],"tree":{"leaf":true}}')
     assert_input_error("certify", "-i", str(gpath))
+
+
+def _leaf_beside_a_node(tree):
+    tree["right"]["left"] = {"leaf": True}  # its sibling is a dimension-2 node
+
+
+def _short_deep_phi(tree):
+    tree["right"]["right"]["phi"] = [0]  # a level-2 row of one element
+
+
+def _repeated_deep_phi(tree):
+    tree["left"]["right"]["phi"] = [1, 1]
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_leaf_beside_a_node, _short_deep_phi, _repeated_deep_phi]
+)
+@pytest.mark.parametrize("command", ["certify", "eval"])
+def test_malformed_tree_levels_are_input_errors(tmp_path, corrupt, command):
+    gpath = tmp_path / "g.json"
+    argv = ["build", "--family", "random", "-n", "4", "--seed", "3", "-o", str(gpath)]
+    assert invoke(*argv)[0] == 0
+    data = json.loads(gpath.read_text())
+    corrupt(data["tree"])
+    gpath.write_text(json.dumps(data))
+    if command == "certify":
+        assert_input_error("certify", "-i", str(gpath))
+    else:
+        apath = tmp_path / "f.txt"
+        apath.write_text("".join(f"{v} {v + 1}\n" for v in range(16)))
+        assert_input_error("eval", "-g", str(gpath), "-a", str(apath))

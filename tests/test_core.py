@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from bclayout import (
     BcGraph,
+    ConstructionTree,
     DimensionCapError,
     Graph,
-    Leaf,
     MAX_DIMENSION_CAP,
     Node,
     bc_arrangement,
@@ -19,10 +19,12 @@ from bclayout import (
     evaluate_arrangement,
     hypercube,
     materialize,
+    random_bc,
     validate,
 )
 from bclayout import core
 from bclayout.core import check_permutation
+from reference import LEAF, build, recursive_edges
 
 
 def bitflip_edges(n):
@@ -145,26 +147,27 @@ def test_graph_adopts_only_frozen_arrays():
 
 
 def test_leaf_and_node_dimensions():
-    assert Leaf().dimension == 1
-    n2 = Node(Leaf(), Leaf(), (0, 1))
+    assert LEAF.dimension == 1
+    n2 = Node(LEAF, LEAF, (0, 1))
     assert n2.dimension == 2
     assert Node(n2, n2, (0, 1, 2, 3)).dimension == 3
 
 
 def test_node_rejects_bad_bijections():
     with pytest.raises(ValueError):
-        Node(Leaf(), Leaf(), (0, 0))  # repeated value
+        Node(LEAF, LEAF, (0, 0))  # repeated value
     with pytest.raises(ValueError):
-        Node(Leaf(), Leaf(), (0, 2))  # out of range
+        Node(LEAF, LEAF, (0, 2))  # out of range
     with pytest.raises(ValueError):
-        Node(Leaf(), Leaf(), (0, 1, 2))  # wrong length
+        Node(LEAF, LEAF, (0, 1, 2))  # wrong length
 
 
 def test_check_permutation_normalizes_and_rejects():
-    phi = check_permutation(np.array([1, 0, 2], dtype=np.uint8), 3)
-    assert phi == (1, 0, 2)
-    assert all(type(x) is int for x in phi)
-    assert Node(Leaf(), Leaf(), np.array([1, 0])).phi == (1, 0)
+    phis = check_permutation(np.array([[1, 0, 2], [2, 1, 0]], dtype=np.uint8), 3)
+    assert phis.tolist() == [[1, 0, 2], [2, 1, 0]]
+    assert phis.dtype == np.int32 and not phis.flags.writeable
+    assert Node(LEAF, LEAF, np.array([1, 0])).phi == (1, 0)
+    assert all(type(x) is int for x in Node(LEAF, LEAF, [1, 0]).phi)
     for bad in (
         (0, 1, 2),  # wrong length
         (0, 3),  # out of range
@@ -172,31 +175,60 @@ def test_check_permutation_normalizes_and_rejects():
         (1, 1),  # repeated value
         (0.0, 1.0),  # float dtype
         (False, True),  # bool dtype
+        (0, True),  # a bool among ints
         np.array([False, True]),  # bool dtype
         (0, 2**70),  # object dtype
         ("0", "1"),  # string dtype
     ):
         with pytest.raises(ValueError):
-            check_permutation(bad, 2)
+            check_permutation([bad], 2)
+    # one call checks a whole level: a bad row anywhere is named
+    with pytest.raises(ValueError, match="row 2 repeats"):
+        check_permutation([(0, 1), (1, 0), (1, 1)], 2)
+    with pytest.raises(ValueError):
+        check_permutation([(0, 1), (1, 0, 2)], 2)  # ragged rows
+    with pytest.raises(ValueError):
+        check_permutation((0, 1), 2)  # one permutation, not a level of them
+
+
+def test_construction_tree_checks_its_levels():
+    rows = np.array([[1, 0]])
+    assert ConstructionTree(2, ((rows, [0]),)).phi == (1, 0)
+    with pytest.raises(ValueError, match="levels"):
+        ConstructionTree(3, ((rows, [0]),))
+    for which in ([1], [0, 0], [0.0], [-1]):  # out of range, two blocks, float
+        with pytest.raises(ValueError, match="row index"):
+            ConstructionTree(2, ((rows, which),))
+    with pytest.raises(ValueError, match="tree level 2"):
+        ConstructionTree(2, (([[1, 1]], [0]),))
+    with pytest.raises(AttributeError):
+        LEAF.phi
+    # equal trees compare equal however their rows are shared
+    q3 = Node(Node(LEAF, LEAF, (0, 1)), Node(LEAF, LEAF, (0, 1)), range(4))
+    assert [len(phis) for phis, _ in q3.levels] == [2, 1]
+    assert q3 == hypercube(3).tree
+    assert [len(phis) for phis, _ in hypercube(3).tree.levels] == [1, 1]
+    assert q3 != Node(Node(LEAF, LEAF, (0, 1)), Node(LEAF, LEAF, (1, 0)), range(4))
+    assert q3 != LEAF
 
 
 def test_node_rejects_dimension_mismatch():
-    n2 = Node(Leaf(), Leaf(), (0, 1))
+    n2 = Node(LEAF, LEAF, (0, 1))
     with pytest.raises(ValueError):
-        Node(n2, Leaf(), (0, 1))
+        Node(n2, LEAF, (0, 1))
 
 
 # --------------------------------------------------------- materialize
 
 
 def test_materialize_leaf_is_single_edge():
-    g = materialize(Leaf())
+    g = materialize(LEAF)
     assert g.vertex_count == 2
     assert g.edge_array.tolist() == [[0, 1]]
 
 
 def test_materialize_identity_dim2_is_four_cycle():
-    g = materialize(Node(Leaf(), Leaf(), (0, 1)))
+    g = materialize(Node(LEAF, LEAF, (0, 1)))
     assert g.edge_array.tolist() == [[0, 1], [0, 2], [1, 3], [2, 3]]
 
 
@@ -214,12 +246,13 @@ def test_identity_tree_is_bitflip_hypercube(n):
 
 
 @st.composite
-def trees(draw):
-    """Trees of dimension 1..6 that mix shared and distinct subtrees."""
-    pool = [Leaf()]
+def nested_trees(draw):
+    """Trees of dimension 1..6 that mix shared and distinct subtrees, as
+    nested (left, right, phi) tuples with None for a leaf."""
+    pool = [None]
     for d in range(2, draw(st.integers(1, 6)) + 1):
         pool = [
-            Node(
+            (
                 draw(st.sampled_from(pool)),
                 draw(st.sampled_from(pool)),
                 tuple(draw(st.permutations(range(1 << (d - 1))))),
@@ -229,20 +262,17 @@ def trees(draw):
     return draw(st.sampled_from(pool))
 
 
-def recursive_edges(tree):
-    """The construction's recursion, written out directly."""
-    if isinstance(tree, Leaf):
-        return [(0, 1)]
-    half = 1 << tree.left.dimension
-    right = [(u + half, v + half) for u, v in recursive_edges(tree.right)]
-    cross = [(x, half + y) for x, y in enumerate(tree.phi)]
-    return recursive_edges(tree.left) + right + cross
+@st.composite
+def trees(draw):
+    """Library trees built from `nested_trees`."""
+    return build(draw(nested_trees()))
 
 
-@given(trees(), st.randoms(use_true_random=False))
+@given(nested_trees(), st.randoms(use_true_random=False))
 @settings(max_examples=100)
-def test_materialize_emits_canonical_rows(tree, rnd):
-    edges = recursive_edges(tree)
+def test_materialize_emits_canonical_rows(nested, rnd):
+    tree = build(nested)
+    edges = recursive_edges(nested)
     g = materialize(tree)
     assert g.edge_array.tolist() == sorted(map(list, edges))
     rnd.shuffle(edges)
@@ -348,6 +378,43 @@ def test_validate_reports_witness_mismatch():
     report = validate(BcGraph(3, Graph(8, edges), bc.tree))
     assert not report.ok
     assert any("construction tree" in v for v in report.violations)
+
+
+def _swap_matching(bc, d, block):
+    """bc's edges with the level-d matching edges at x = 0 and x = 1 of the
+    given block exchanging their right ends: same degrees, same edge count,
+    no duplicate, since both new ends stay in the block's right half."""
+    half = 1 << (d - 1)
+    base = block << d
+    phi = dict((u - base, v - base - half) for u, v in bc.graph.iter_edges()
+               if base <= u < base + half <= v < base + 2 * half)
+    edges = set(bc.graph.iter_edges())
+    edges -= {(base, base + half + phi[0]), (base + 1, base + half + phi[1])}
+    edges |= {(base, base + half + phi[1]), (base + 1, base + half + phi[0])}
+    return edges
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_validate_names_the_level_and_block_that_differ(d):
+    bc = random_bc(6, 11)
+    block = (1 << (6 - d)) - 1  # the last block of the level
+    graph = Graph(64, _swap_matching(bc, d, block))
+    report = validate(BcGraph(6, graph, bc.tree))
+    base = block << d
+    assert report.violations == (
+        "graph edges differ from those generated by the construction tree: "
+        f"level {d}, block {block} (vertices {base}..{base + (1 << d) - 1})",
+    )
+
+
+def test_validate_names_the_highest_level_that_differs(monkeypatch):
+    bc = random_bc(6, 11)
+    edges = _swap_matching(bc, 3, 2)
+    edges = _swap_matching(BcGraph(6, Graph(64, edges), bc.tree), 5, 1)
+    monkeypatch.setattr(core, "materialize", None)  # validate builds no graph
+    (violation,) = validate(BcGraph(6, Graph(64, edges), bc.tree)).violations
+    assert violation.endswith("level 5, block 1 (vertices 32..63)")
+    assert validate(bc).ok
 
 
 def test_validate_reports_dimension_mismatch():

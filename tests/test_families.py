@@ -1,6 +1,7 @@
 """Family constructors: canonical members, random members, FamilySpec."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from bclayout import (
     DimensionCapError,
     FamilySpec,
+    Graph,
     build_family,
     brute_force_tables,
     edge_boundary,
@@ -21,9 +23,9 @@ from bclayout import (
     validate,
 )
 from bclayout import cli, families
-from bclayout.core import materialize
 from bclayout.formats import GraphDocument, dump_graph_json, load_graph_json
 from bclayout.rng import _GAMMA, _MIX1, _MIX2, SplitMix64, bounded_draws
+from reference import build, recursive_edges, scalar_tree
 
 
 def all_members(n, seeds=(1, 2)):
@@ -59,9 +61,10 @@ def test_out_of_range_dimension():
 
 def test_cap_above_ceiling_is_rejected_before_any_tree_is_built(monkeypatch):
     def no_nodes(*args, **kwargs):
-        raise AssertionError("a tree node was built")
+        raise AssertionError("a tree was built")
 
-    monkeypatch.setattr(families, "Node", no_nodes)
+    monkeypatch.setattr(families, "ConstructionTree", no_nodes)
+    monkeypatch.setattr(families, "_random_levels", no_nodes)
     with pytest.raises(DimensionCapError):
         hypercube(7, cap=6)
     with pytest.raises(ValueError, match="cap must be"):
@@ -75,7 +78,7 @@ def test_random_bc_checks_dimension_cap_and_seed_before_any_draw(monkeypatch):
         raise AssertionError("a draw was made")
 
     monkeypatch.setattr(families, "bounded_draws", no_draws)
-    monkeypatch.setattr(families, "Node", no_draws)
+    monkeypatch.setattr(families, "ConstructionTree", no_draws)
     with pytest.raises(DimensionCapError):
         random_bc(30, 1)
     with pytest.raises(ValueError, match="cap must be"):
@@ -206,10 +209,10 @@ MASK = (1 << 64) - 1
 @example(10, MASK)
 @settings(max_examples=60)
 def test_random_bc_matches_the_scalar_stream(n, seed):
-    reference = families._random_tree(n, SplitMix64(seed))
+    nested = scalar_tree(n, seed)
     bc = random_bc(n, seed)
-    assert bc.tree == reference
-    assert bc.graph == materialize(reference)
+    assert bc.tree == build(nested)
+    assert bc.graph == Graph(1 << n, recursive_edges(nested))
 
 
 def _unxorshift(y, shift):
@@ -226,26 +229,84 @@ def _unmix(z):
     return _unxorshift(z, 30)
 
 
+def _rejecting_seed(k):
+    """The seed whose draw k is 2**64 - 1, which every bound that is not a
+    power of two rejects."""
+    return (_unmix(MASK) - k * _GAMMA) & MASK
+
+
 def test_rejected_draw_falls_back_to_the_scalar_stream(monkeypatch):
     # random_bc(3, .) draws with bounds 2, 2, 4, 3, 2; draw 4 has bound 3, and
     # this seed makes it 2**64 - 1, which 3 does not divide into evenly
-    seed = (_unmix(MASK) - 4 * _GAMMA) & MASK
+    seed = _rejecting_seed(4)
     assert seed == 6249903136257981804
     stream = SplitMix64(seed)
     draws = [stream.next_u64() for _ in range(4)]
     # randbelow(3) accepts only draws below 3 * (2**64 // 3) = 2**64 - 1
     assert draws[3] == MASK >= ((1 << 64) // 3) * 3
-    assert bounded_draws(seed, np.array([4]), np.array([3]))[1]
+    assert bounded_draws(seed, np.array([4]), np.array([3]))[1].tolist() == [True]
     calls = []
-    scalar = families._random_tree
+    bulk = families.bounded_draws
 
-    def counted(d, rng):
-        calls.append(d)
-        return scalar(d, rng)
+    def counted(seed, counters, bounds):
+        calls.append(np.asarray(counters).copy())
+        return bulk(seed, counters, bounds)
 
-    monkeypatch.setattr(families, "_random_tree", counted)
+    monkeypatch.setattr(families, "bounded_draws", counted)
     bc = random_bc(3, seed)
-    assert calls[0] == 3
-    assert bc.tree == scalar(3, SplitMix64(seed))
+    # a first pass over levels 2 and 3, then a second that redraws draw 4
+    # from counter 5 and delays draw 5 to counter 6
+    first, second = [[[1], [2]], [[3, 4, 5]]], [[[1], [2]], [[3, 5, 6]]]
+    assert [c.tolist() for c in calls] == first + second
+    assert bc.tree == build(scalar_tree(3, seed))
     assert bc.tree.phi == (2, 0, 3, 1)
     assert validate(bc).ok
+
+
+@given(st.integers(3, 8), st.data())
+@settings(max_examples=40)
+def test_a_rejection_anywhere_delays_every_later_draw(n, data):
+    # every stream position whose bound is not a power of two, at any level
+    sizes = []
+
+    def walk(d):
+        if d > 1:
+            walk(d - 1)
+            walk(d - 1)
+            sizes.extend(range(1 << (d - 1), 1, -1))
+
+    walk(n)
+    ks = [k for k, b in enumerate(sizes, start=1) if b & (b - 1)]
+    seed = _rejecting_seed(data.draw(st.sampled_from(ks)))
+    nested = scalar_tree(n, seed)
+    bc = random_bc(n, seed)
+    assert bc.tree == build(nested)
+    assert bc.graph == Graph(1 << n, recursive_edges(nested))
+
+
+@pytest.mark.parametrize("kind", families.KINDS)
+def test_a_tree_is_a_few_arrays_per_level(kind):
+    # a dimension-12 tree has 2**11 - 1 nodes; it is kept as two arrays a
+    # level, so the blocks that the library's own lines allocate and the
+    # tree keeps alive do not grow with the node count (a tree of Node
+    # objects and phi tuples held 2846 to 10581 of them)
+    spec = FamilySpec(kind, 12, 5 if kind == "random" else None)
+    library = [tracemalloc.Filter(True, families.__file__.replace("families.py", "*"))]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(library)
+        tree = families.build_tree(spec)
+        bc = random_bc(12, 5) if kind == "random" else None
+        after = tracemalloc.take_snapshot().filter_traces(library)
+    finally:
+        tracemalloc.stop()
+    blocks = sum(stat.count_diff for stat in after.compare_to(before, "filename"))
+    assert blocks < (1 << 11) // 8
+    assert len(tree.levels) == 11
+    for d, (phis, which) in enumerate(tree.levels, start=2):
+        rows = {"random": 1 << (12 - d), "mobius-0": 2, "mobius-1": 2}.get(kind, 1)
+        assert phis.shape == (1 if d == 12 else rows, 1 << (d - 1))
+        assert which.shape == (1 << (12 - d),)
+        assert not phis.flags.writeable and not which.flags.writeable
+    if bc is not None:
+        assert bc.tree == tree

@@ -6,8 +6,8 @@ import json
 import pytest
 
 from bclayout import (
+    ConstructionTree,
     Graph,
-    Leaf,
     LinearArrangement,
     Node,
     edge_boundary,
@@ -92,11 +92,13 @@ def test_graph_json_rejects_malformed():
 
 
 def test_tree_json_objects():
-    assert tree_to_json_obj(Leaf()) == {"leaf": True}
-    node = Node(Leaf(), Leaf(), (1, 0))
+    assert tree_to_json_obj(ConstructionTree(1)) == {"leaf": True}
+    node = Node(ConstructionTree(1), ConstructionTree(1), (1, 0))
     obj = tree_to_json_obj(node)
     assert obj == {"left": {"leaf": True}, "right": {"leaf": True}, "phi": [1, 0]}
     assert tree_from_json_obj(obj) == node
+    with pytest.raises(ValueError, match="equal dimension"):  # a leaf beside a node
+        tree_from_json_obj({"left": {"leaf": True}, "right": obj, "phi": [0, 1, 2, 3]})
     with pytest.raises(ValueError):
         tree_from_json_obj({"left": {"leaf": True}})
     with pytest.raises(ValueError):

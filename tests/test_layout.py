@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from bclayout import (
     BcGraph,
+    ConstructionTree,
     FamilySpec,
     Graph,
     KINDS,
-    Leaf,
     LinearArrangement,
     SplitMix64,
     arrangement_cost,
@@ -125,7 +125,7 @@ def test_reversal_preserves_cost(graph, seed):
 
 
 def test_bc_arrangement_of_leaf():
-    assert bc_arrangement(Leaf()).to_list() == [1, 2]
+    assert bc_arrangement(ConstructionTree(1)).to_list() == [1, 2]
 
 
 @pytest.mark.parametrize("n", range(1, 9))

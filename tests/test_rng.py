@@ -96,27 +96,25 @@ def test_bounded_draws_match_the_scalar_stream(seed, pairs):
     values, rejected = bounded_draws(
         seed, np.array(counters, dtype=np.uint64), np.array(bounds, dtype=np.uint64)
     )
-    any_rejected = False
-    for k, b, value in zip(counters, bounds, values.tolist()):
+    for k, b, value, reject in zip(counters, bounds, values.tolist(), rejected.tolist()):
         # draw k mixes the state seed + k * gamma
         start = (seed + (k - 1) * _GAMMA) & MASK
         z = SplitMix64(start).next_u64()
         assert value == z % b
-        if z >= ((1 << 64) // b) * b:
-            any_rejected = True
+        assert reject == (z >= ((1 << 64) // b) * b)
+        if reject:
             assert b & (b - 1)
         else:
             assert SplitMix64(start).randbelow(b) == value
-    assert rejected == any_rejected
 
 
 @pytest.mark.filterwarnings("error")
 def test_bounded_draws_report_a_likely_rejection():
     bound = np.full(64, (1 << 63) + 1, dtype=np.uint64)
     _, rejected = bounded_draws(7, np.arange(1, 65, dtype=np.uint64), bound)
-    assert rejected
+    assert rejected.any()
     _, rejected = bounded_draws(7, np.arange(1, 65, dtype=np.uint64), bound - 1)
-    assert not rejected
+    assert not rejected.any()
     # scalar operands wrap silently too
     b = (1 << 63) + 1
     value, rejected = bounded_draws(MASK, MASK, b)
@@ -133,4 +131,6 @@ def test_shuffle_rows_matches_permutation(count, size):
     draws = [[rng.randbelow(i + 1) for i in range(size - 1, 0, -1)] for _ in range(count)]
     rng = SplitMix64(seed)
     expected = [list(rng.permutation(size)) for _ in range(count)]
-    assert list(shuffle_rows(np.array(draws, dtype=np.uint64))) == expected
+    perms = shuffle_rows(np.array(draws, dtype=np.uint64))
+    assert perms.tolist() == expected
+    assert perms.dtype == np.int32 and not perms.flags.writeable
