@@ -232,7 +232,7 @@ def _emit_report(report, args, out) -> None:
             for line in formats.format_report_lines(report):
                 fp.write(line + "\n")
         else:
-            fp.write(json.dumps(formats.report_to_json_dict(report)) + "\n")
+            formats.dump_report_json(report, fp)
 
 
 def _cmd_solve(args, out, err) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass
 from itertools import chain
 from typing import IO, Iterable
@@ -68,17 +69,31 @@ class GraphDocument:
         return BcGraph(self.dimension, self.graph, self.tree)
 
 
+# The edge array as `build` writes it: compact pairs of canonical decimal
+# integers (at most 18 digits, so every value fits int64). The repeat is
+# possessive: a greedy one keeps a backtracking entry per pair.
+_INT = r"(?:0|[1-9][0-9]{0,17})"
+_EDGES = re.compile(rf'"edges":(\[(?:\[{_INT},{_INT}\](?:,\[{_INT},{_INT}\])*+)?\])')
+_NO_BRACKETS = str.maketrans("", "", "[]")
+_BLOCK = 1 << 12  # edge rows or cut counts encoded per write
+
+
 def dump_graph_json(doc: GraphDocument, fp: IO[str]) -> None:
     if doc.dimension is None:
         raise ValueError("graph JSON requires a dimension")
-    data: dict = {
-        "dimension": doc.dimension,
-        "edges": doc.graph.edge_array.tolist(),
-    }
+    fp.write(f'{{"dimension":{json.dumps(doc.dimension)},"edges":[')
+    # a block of rows at a time, from two int columns: no list per row and
+    # no string of the whole document
+    edges, sep = doc.graph.edge_array, "["
+    for lo in range(0, len(edges), _BLOCK):
+        u, v = edges[lo : lo + _BLOCK].T.tolist()
+        fp.write(sep + "],[".join([f"{a},{b}" for a, b in zip(u, v)]) + "]")
+        sep = ",["
+    fp.write("]")
     if doc.tree is not None:
-        data["tree"] = tree_to_json_obj(doc.tree)
-    # json.dumps encodes in C; json.dump would format every element in Python
-    fp.write(json.dumps(data, separators=(",", ":")) + "\n")
+        # json.dumps encodes in C; json.dump would format every element in Python
+        fp.write(',"tree":' + json.dumps(tree_to_json_obj(doc.tree), separators=(",", ":")))
+    fp.write("}\n")
 
 
 def load_graph_json(fp: IO[str]) -> GraphDocument:
@@ -86,6 +101,9 @@ def load_graph_json(fp: IO[str]) -> GraphDocument:
 
 
 def _parse_graph_json(text: str) -> GraphDocument:
+    bulk = _bulk_graph_json(text)
+    if bulk is not None:
+        return _graph_document(*bulk)
     # JSON nested beyond the interpreter's recursion limit is malformed input.
     try:
         return _graph_document(json.loads(text))
@@ -93,7 +111,34 @@ def _parse_graph_json(text: str) -> GraphDocument:
         raise ValueError("graph JSON nests too deeply") from exc
 
 
-def _graph_document(data) -> GraphDocument:
+def _bulk_graph_json(text: str):
+    """(members, edge array) of a document whose edges are laid out as
+    `dump_graph_json` writes them, or None for any other text.
+
+    The edge span is checked by one pattern and parsed by numpy; the rest is
+    parsed by json with `[]` in its place. The rest must parse and its
+    top-level `edges` must be that `[]`; with no escapes and one `"edges"`
+    in the text, the span is then exactly the value json.loads would read.
+    """
+    if "\\" in text or text.count('"edges"') != 1:
+        return None
+    match = _EDGES.match(text, text.index('"edges"'))
+    if match is None:
+        return None
+    lo, hi = match.span(1)
+    # the numbers first, so their text is freed before the rest is parsed
+    nums = np.fromstring(text[lo:hi].translate(_NO_BRACKETS), dtype=np.int64, sep=",")
+    try:
+        data = json.loads(text[:lo] + "[]" + text[hi:])
+    except (ValueError, RecursionError):
+        return None
+    if not isinstance(data, dict) or data.get("edges") != []:
+        return None
+    nums.setflags(write=False)  # so Graph adopts it without a copy
+    return data, nums.reshape(-1, 2)
+
+
+def _graph_document(data, edge_array=None) -> GraphDocument:
     if not isinstance(data, dict):
         raise ValueError("graph JSON must be an object")
     dimension = data.get("dimension")
@@ -102,12 +147,14 @@ def _graph_document(data) -> GraphDocument:
     edges = data.get("edges")
     if not isinstance(edges, list):
         raise ValueError("'edges' must be an array of pairs")
-    try:  # an entry that is not a pair stops the scan; Graph names that error
-        if bool in map(type, chain.from_iterable(edges)):
-            raise ValueError("edge endpoints must be integers, not bool")
-    except TypeError:
-        pass
-    graph = Graph(1 << dimension, edges)
+    if edge_array is None:
+        try:  # an entry that is not a pair stops the scan; Graph names that error
+            if bool in map(type, chain.from_iterable(edges)):
+                raise ValueError("edge endpoints must be integers, not bool")
+        except TypeError:
+            pass
+        edge_array = edges
+    graph = Graph(1 << dimension, edge_array)
     tree = None
     if data.get("tree") is not None:
         tree = tree_from_json_obj(data["tree"])
@@ -179,14 +226,20 @@ def load_graph_any(fp: IO[str]) -> GraphDocument:
     return GraphDocument(load_edge_list(text.splitlines()))
 
 
-def report_to_json_dict(report: LayoutReport) -> dict:
-    return {
+def dump_report_json(report: LayoutReport, fp: IO[str]) -> None:
+    """The report as one JSON line, `cuts` last. The cuts are encoded a block
+    at a time, straight from the profile's tuple: no list copy of the 2^n
+    counts and no string of the whole report."""
+    fp.write(json.dumps({
         "cost": report.cost,
         "lower_bound": report.lower_bound,
         "closed_form": report.closed_form,
         "optimal": report.optimal,
-        "cuts": list(report.cut_profile.counts),
-    }
+    })[:-1] + ', "cuts": [')
+    cuts = report.cut_profile.counts
+    for lo in range(0, len(cuts), _BLOCK):
+        fp.write((", " if lo else "") + json.dumps(cuts[lo : lo + _BLOCK])[1:-1])
+    fp.write("]}\n")
 
 
 def format_report_lines(report: LayoutReport, *, max_cuts: int = 32) -> list[str]:

@@ -1,14 +1,19 @@
 """Command-line surface: formats, exit codes, round trips."""
 
+import functools
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bclayout import KINDS, edge_boundary, hypercube
-from bclayout import cli, core, families
+from bclayout import KINDS, FamilySpec, bc_arrangement, build_family, edge_boundary, hypercube
+from bclayout import cli, core, families, formats
 from bclayout.cli import run
 from bclayout.formats import load_graph_json
+
+from mutations import mutated
 
 
 def invoke(*argv):
@@ -391,3 +396,51 @@ def test_malformed_tree_levels_are_input_errors(tmp_path, corrupt, command):
         apath = tmp_path / "f.txt"
         apath.write_text("".join(f"{v} {v + 1}\n" for v in range(16)))
         assert_input_error("eval", "-g", str(gpath), "-a", str(apath))
+
+
+@functools.cache
+def valid_files(kind, n, seed):
+    """Graph JSON, edge list and arrangement text of one BC graph."""
+    bc = build_family(FamilySpec(kind, n, seed))
+    texts = []
+    for dump, obj in (
+        (formats.dump_graph_json, formats.GraphDocument.from_bc(bc)),
+        (formats.dump_edge_list, bc.graph),
+        (formats.dump_arrangement, bc_arrangement(bc.tree)),
+    ):
+        buf = io.StringIO()
+        dump(obj, buf)
+        texts.append(buf.getvalue())
+    return texts
+
+
+@st.composite
+def mutated_files(draw):
+    kind = draw(st.sampled_from(KINDS))
+    seed = draw(st.integers(0, 3)) if kind == "random" else None
+    texts = valid_files(kind, draw(st.integers(1, 4)), seed)
+    return [draw(mutated(text)) for text in texts]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=100)
+@given(files=mutated_files())
+def test_mutated_files_exit_with_a_documented_code(fuzz_dir, files):
+    """arrange, eval and certify -i on mutated graph JSON, edge-list and
+    arrangement files end with exit code 0..3 and no traceback."""
+    g, e, a = (fuzz_dir / name for name in ("g.json", "g.txt", "a.txt"))
+    for path, text in zip((g, e, a), files):
+        path.write_text(text, encoding="utf-8")
+    for argv in (
+        ["arrange", "-i", g],
+        ["eval", "-g", g, "-a", a],
+        ["eval", "-g", e, "-a", a],
+        ["certify", "-i", g],
+    ):
+        status, _, err = invoke(*map(str, argv))
+        assert status in (0, 1, 2, 3)
+        assert "Traceback" not in err

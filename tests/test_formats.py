@@ -1,15 +1,23 @@
 """Serialization round trips for every declared file format."""
 
+import functools
 import io
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bclayout import (
+    KINDS,
     ConstructionTree,
+    FamilySpec,
     Graph,
     LinearArrangement,
     Node,
+    build_family,
     edge_boundary,
     hypercube,
     locally_twisted,
@@ -20,21 +28,25 @@ from bclayout import (
 )
 from bclayout.formats import (
     GraphDocument,
+    _bulk_graph_json,
+    _graph_document,
     dump_arrangement,
     dump_edge_list,
     dump_graph_json,
+    dump_report_json,
     format_report_lines,
     load_arrangement,
     load_edge_list,
     load_graph_any,
     load_graph_json,
-    report_to_json_dict,
     tree_from_json_obj,
     tree_to_json_obj,
     write_isoperimetric_table,
 )
 from bclayout import cli
-from bclayout.layout import certify
+from bclayout.layout import CutProfile, LayoutReport, certify
+
+from mutations import mutated
 
 
 def round_trip_json(doc):
@@ -156,15 +168,30 @@ def test_arrangement_rejects_malformed():
 
 def test_report_serialization():
     report = certify(hypercube(3))
-    data = report_to_json_dict(report)
-    assert set(data) == {"cost", "lower_bound", "closed_form", "optimal", "cuts"}
-    assert data["cost"] == 28
-    assert data["cuts"] == [3, 4, 5, 4, 5, 4, 3]
+    buf = io.StringIO()
+    dump_report_json(report, buf)
+    text = buf.getvalue()
+    assert text == (
+        '{"cost": 28, "lower_bound": 28, "closed_form": 28, "optimal": true, '
+        '"cuts": [3, 4, 5, 4, 5, 4, 3]}\n'
+    )
     out = io.StringIO()
     assert cli.run(["certify", "--family", "hypercube", "-n", "3"], out, io.StringIO()) == 0
-    assert json.loads(out.getvalue()) == data
+    assert out.getvalue() == text
     lines = format_report_lines(report)
     assert any("optimal      yes" in line for line in lines)
+
+
+@pytest.mark.parametrize("size", [0, 1, 4095, 4096, 4097, 3 * 4096 + 5])
+def test_report_json_equals_one_json_dumps(size):
+    """Cut counts written a block at a time give the text one json.dumps of
+    the whole report gives, on each side of the block size."""
+    counts = tuple((i * 7919) % 10007 for i in range(size))
+    report = LayoutReport(5, 3, None, CutProfile(counts), False)
+    buf = io.StringIO()
+    dump_report_json(report, buf)
+    data = {"cost": 5, "lower_bound": 3, "closed_form": None, "optimal": False}
+    assert buf.getvalue() == json.dumps({**data, "cuts": list(counts)}) + "\n"
 
 
 def test_isoperimetric_table_output():
@@ -187,3 +214,148 @@ def test_isoperimetric_table_huge_dimension():
     # decimal text, no scientific notation, survives a parse round trip
     assert "e" not in row[1].lower()
     assert str(int(row[1])) == row[1]
+
+
+# --- the bulk edge path of load_graph_json against json.loads -------------
+
+
+@functools.cache
+def graph_json(kind, n, seed, with_tree):
+    buf = io.StringIO()
+    bc = build_family(FamilySpec(kind, n, seed))
+    dump_graph_json(GraphDocument.from_bc(bc, include_tree=with_tree), buf)
+    return buf.getvalue()
+
+
+@st.composite
+def graph_json_texts(draw):
+    """`build` output of a structured or random graph at n = 1..8, with or
+    without its tree, after a few random one-character edits."""
+    kind = draw(st.sampled_from(KINDS))
+    seed = draw(st.integers(0, 3)) if kind == "random" else None
+    text = graph_json(kind, draw(st.integers(1, 8)), seed, draw(st.booleans()))
+    return draw(mutated(text))
+
+
+def general_load(text):
+    """The reader without the bulk path: json.loads, then _graph_document."""
+    try:
+        data = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("graph JSON nests too deeply") from exc
+    return _graph_document(data)
+
+
+def outcome(load, text):
+    try:
+        return load(text)
+    except Exception as exc:  # the kind and text of any failure must agree
+        return type(exc), str(exc)
+
+
+def assert_reads_like_json_loads(text):
+    got = outcome(lambda t: load_graph_json(io.StringIO(t)), text)
+    assert got == outcome(general_load, text)
+    return got
+
+
+@settings(max_examples=250)
+@given(graph_json_texts())
+def test_graph_json_reads_like_json_loads(text):
+    assert_reads_like_json_loads(text)
+
+
+EDGES = "[[0,1],[0,2],[1,3],[2,3]]"
+TREE = '{"left":{"leaf":true},"right":{"leaf":true},"phi":[0,1]}'
+DOC = f'{{"dimension":2,"edges":{EDGES},"tree":{TREE}}}\n'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        DOC,
+        DOC.replace('"edges":', '"edges": '),
+        DOC.replace("[0,1],", "[0, 1],"),
+        f'{{"edges":{EDGES},"tree":{TREE},"dimension":2}}',
+        f'{{"dimension":2,"edges":[[0,1]],"edges":{EDGES}}}',
+        f'{{"dimension":2,"edges":{EDGES},"edges":[[0,1]]}}',
+        f'{{"dimension":2,"edges":{EDGES},"\\u0065dges":[]}}',
+        f'{{"dimension":2,"\\u0065dges":{EDGES}}}',
+        f'{{"dimension":2,"edges":{EDGES},"x":"\\u0041"}}',
+        DOC.replace("[0,1],", "[-0,1],"),
+        DOC.replace("[0,1],", "[0,01],"),
+        DOC.replace("[0,1],", "[0,1e0],"),
+        DOC.replace("[0,1],", "[0,1.0],"),
+        DOC.replace("[0,1],", f"[0,{2**70}],"),
+        DOC.replace("[0,1],", f"[0,{10**18 - 1}],"),
+        DOC.replace("[0,1],", f"[0,{10**18}],"),
+        DOC.replace("[0,1],", f"[0,{2**64 - 1}],"),
+        DOC.replace("[0,1],", "[0,true],"),
+        DOC.replace("[0,1],", "[0,1,2],"),
+        DOC.replace("[0,1],", "[1,0],"),
+        DOC.replace("[0,1],", "[1,1],"),
+        DOC.replace("[0,1],", "[0,4],"),
+        DOC.replace("[0,2],", "[0,1],"),
+        DOC.replace("[0,1],[0,2]", "[0,2],[0,1]"),
+        DOC.replace(EDGES, "[]"),
+        DOC.replace(EDGES, EDGES + "]"),
+        DOC.replace(EDGES, EDGES + ",[0,3]]"),
+        DOC.replace(EDGES, EDGES[:-1]),
+        DOC.replace(EDGES, EDGES + " "),
+        DOC.rstrip()[:-1],
+        DOC + "x",
+        DOC.replace('"dimension":2', '"dimension":1,"dimension":2'),
+        DOC.replace('"dimension":2', '"dimension":3'),
+        DOC.replace('"dimension":2,', ""),
+        '{"dimension":1,"tree":{"edges":[[0,1]]}}',
+        '{"dimension":1,"x":{"edges":[[0,1]]}}',
+        '{"dimension":1,"edges":[[0,1]],"x":"edges"}',
+        '[{"dimension":1,"edges":[[0,1]]}]',
+        '{"dimension":1,"edges":[[0,1]],"tree":' + "[" * 5000 + "]" * 5000 + "}",
+    ],
+)
+def test_graph_json_edge_cases_read_like_json_loads(text):
+    assert_reads_like_json_loads(text)
+
+
+def test_build_layout_takes_the_bulk_path():
+    """`build` output is read on the bulk path, and its edges arrive as one
+    read-only int64 block that the graph adopts without a copy."""
+    for text in (DOC, DOC.replace(EDGES, "[]"), f'{{"edges":{EDGES},"dimension":2}}'):
+        data, edges = _bulk_graph_json(text)
+        assert data["edges"] == [] and not edges.flags.writeable
+        assert edges.tolist() == json.loads(text)["edges"] and edges.dtype == np.int64
+        adopted = _graph_document(data, edges).graph.edge_array
+        assert adopted is edges or not len(edges)  # an empty graph makes its own
+    for text in (DOC.replace("[0,1],", "[0, 1],"), DOC.replace("[0,1],", "[-0,1],")):
+        assert _bulk_graph_json(text) is None
+
+
+def test_graph_json_reads_and_writes_in_a_few_times_its_size():
+    """tracemalloc peaks of reading and of writing a dimension-14 graph JSON,
+    in multiples of the text's length. A Python list per edge costs about 15
+    times on the read and 12 times on the write; a greedy repeat in the edge
+    pattern about 20 times on the read (its backtracking stack)."""
+    bc = random_bc(14, 3)
+    doc = GraphDocument.from_bc(bc)
+    buf = io.StringIO()
+    dump_graph_json(doc, buf)
+    text = buf.getvalue()
+    source = io.StringIO(text)
+
+    class Discard:
+        def write(self, s):
+            pass
+
+    tracemalloc.start()
+    try:
+        back = load_graph_json(source)
+        read_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        dump_graph_json(doc, Discard())
+        write_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.graph == bc.graph and back.tree == bc.tree
+    assert read_peak < 8 * len(text)
+    assert write_peak < 6 * len(text)
