@@ -279,6 +279,7 @@ DOC = f'{{"dimension":2,"edges":{EDGES},"tree":{TREE}}}\n'
         f'{{"edges":{EDGES},"tree":{TREE},"dimension":2}}',
         f'{{"dimension":2,"edges":[[0,1]],"edges":{EDGES}}}',
         f'{{"dimension":2,"edges":{EDGES},"edges":[[0,1]]}}',
+        f'{{"dimension":2,"edges":{EDGES},"edges":[]}}',
         f'{{"dimension":2,"edges":{EDGES},"\\u0065dges":[]}}',
         f'{{"dimension":2,"\\u0065dges":{EDGES}}}',
         f'{{"dimension":2,"edges":{EDGES},"x":"\\u0041"}}',
