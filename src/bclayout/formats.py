@@ -15,7 +15,7 @@ import csv
 import json
 import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import IO, Iterable
 
 import numpy as np
@@ -25,15 +25,6 @@ from .isoperimetric import edge_boundary, max_induced_edges
 from .layout import LayoutReport, LinearArrangement
 
 
-def tree_to_json_obj(tree: ConstructionTree) -> dict:
-    """The nested JSON object of a tree, built bottom-up a level at a time."""
-    objs = [{"leaf": True}] * (1 << (tree.dimension - 1))
-    for phis, which in tree.levels:
-        rows, kids = phis.tolist(), iter(objs)
-        objs = [{"left": a, "right": b, "phi": rows[k]} for a, b, k in zip(kids, kids, which)]
-    return objs[0]
-
-
 def tree_from_json_obj(obj) -> ConstructionTree:
     """Parse a nested JSON tree a level at a time from the top; each level's
     phi lists become one row array, checked when the tree is made."""
@@ -41,7 +32,7 @@ def tree_from_json_obj(obj) -> ConstructionTree:
     while True:
         leaves = [isinstance(o, dict) and o.get("leaf") is True for o in level]
         if all(leaves):
-            return ConstructionTree(len(rows) + 1, tuple((p, np.arange(len(p))) for p in rows))
+            return _tree_from_rows(rows)
         if any(leaves):
             raise ValueError("left and right subtrees must have equal dimension")
         try:
@@ -49,6 +40,31 @@ def tree_from_json_obj(obj) -> ConstructionTree:
             level = [o[side] for o in level for side in ("left", "right")]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"a tree node needs 'left', 'right' and 'phi': {exc!r}") from exc
+
+
+def _tree_from_rows(rows) -> ConstructionTree:
+    """The tree of each level's phi rows, level 2 first, blocks in order."""
+    return ConstructionTree(len(rows) + 1, tuple((p, np.arange(len(p))) for p in rows))
+
+
+_LEAVES = '{"leaf":true},"right":{"leaf":true},'
+
+
+def _tree_layout(k: int) -> tuple[list[str], np.ndarray]:
+    """A dimension-k tree as `dump_graph_json` writes it, split around its
+    2**(k-1) - 1 phi arrays (`"phi":[...]`, each closing its node after both
+    subtrees): the 2**(k-1) pieces of text between them, and the index in
+    text order of each array, level 2 first, blocks in order."""
+    if k == 1:
+        return ['{"leaf":true}'], np.zeros(0, dtype=np.intp)
+    inner, levels = [], np.array([2])
+    for d in range(3, k + 1):
+        # the text after each phi array below a level-d root: the left
+        # child's, then `}` closing the left child and the right child's
+        # opening, the right child's, then `}` before the root's phi array
+        inner = inner + ['},"right":' + '{"left":' * (d - 2) + _LEAVES] + inner + ["},"]
+        levels = np.concatenate([levels, levels, [d]])
+    return ['{"left":' * (k - 1) + _LEAVES, *inner, "}"], np.argsort(levels, kind="stable")
 
 
 @dataclass(frozen=True)
@@ -74,26 +90,55 @@ class GraphDocument:
 # possessive: a greedy one keeps a backtracking entry per pair.
 _INT = r"(?:0|[1-9][0-9]{0,17})"
 _EDGES = re.compile(rf'"edges":(\[(?:\[{_INT},{_INT}\](?:,\[{_INT},{_INT}\])*+)?\])')
+_PHI = re.compile(rf'"phi":\[({_INT}(?:,{_INT})*+)\]')
 _NO_BRACKETS = str.maketrans("", "", "[]")
-_BLOCK = 1 << 12  # edge rows or cut counts encoded per write
+_BLOCK = 1 << 12  # edge rows, arrangement lines, tree leaves or cut counts per write
 
 
 def dump_graph_json(doc: GraphDocument, fp: IO[str]) -> None:
     if doc.dimension is None:
         raise ValueError("graph JSON requires a dimension")
     fp.write(f'{{"dimension":{json.dumps(doc.dimension)},"edges":[')
-    # a block of rows at a time, from two int columns: no list per row and
-    # no string of the whole document
-    edges, sep = doc.graph.edge_array, "["
+    # a block of rows at a time, by one format from the int columns: no list
+    # per row and no string of the whole document
+    edges, sep = doc.graph.edge_array, ""
     for lo in range(0, len(edges), _BLOCK):
-        u, v = edges[lo : lo + _BLOCK].T.tolist()
-        fp.write(sep + "],[".join([f"{a},{b}" for a, b in zip(u, v)]) + "]")
-        sep = ",["
+        block = edges[lo : lo + _BLOCK]
+        fp.write(sep + ",".join(["[%d,%d]"] * len(block)) % tuple(block.ravel().tolist()))
+        sep = ","
     fp.write("]")
     if doc.tree is not None:
-        # json.dumps encodes in C; json.dump would format every element in Python
-        fp.write(',"tree":' + json.dumps(tree_to_json_obj(doc.tree), separators=(",", ":")))
+        fp.write(',"tree":')
+        _dump_tree(doc.tree.levels, doc.tree.dimension, 0, fp)
     fp.write("}\n")
+
+
+def _dump_tree(levels, d: int, b: int, fp: IO[str]) -> None:
+    """Write the subtree of block b at level d, the nested text `json.dumps`
+    gives with compact separators: one string per subtree of at most
+    _BLOCK leaves, and the nodes above them one at a time."""
+    if 1 << (d - 1) > _BLOCK:
+        phis, which = levels[d - 2]
+        fp.write('{"left":')
+        _dump_tree(levels, d - 1, 2 * b, fp)
+        fp.write(',"right":')
+        _dump_tree(levels, d - 1, 2 * b + 1, fp)
+        fp.write(',"phi":[%s]}' % ",".join(map(str, phis[which[b]].tolist())))
+        return
+    pieces, order = _tree_layout(d)
+    rows = np.empty(len(order), dtype=object)
+    at = 0
+    for e in range(2, d + 1):  # the block's rows at level e, one format for all
+        phis, which = levels[e - 2]
+        count = 1 << (d - e)
+        block = phis[which[b * count : (b + 1) * count]]
+        fmt = '"phi":[' + ",".join(["%d"] * block.shape[1]) + "]"
+        text = "\n".join([fmt] * count) % tuple(block.ravel().tolist())
+        rows[order[at : at + count]] = text.split("\n")
+        at += count
+    parts = [""] * (2 * len(pieces) - 1)
+    parts[::2], parts[1::2] = pieces, rows.tolist()
+    fp.write("".join(parts))
 
 
 def load_graph_json(fp: IO[str]) -> GraphDocument:
@@ -112,13 +157,16 @@ def _parse_graph_json(text: str) -> GraphDocument:
 
 
 def _bulk_graph_json(text: str):
-    """(members, edge array) of a document whose edges are laid out as
-    `dump_graph_json` writes them, or None for any other text.
+    """(members, edge array, tree rows or None) of a document whose edges
+    are laid out as `dump_graph_json` writes them, or None for any other
+    text.
 
-    The edge span is checked by one pattern and parsed by numpy; the rest is
-    parsed by json with `[]` in its place. The rest must parse and its
-    top-level `edges` must be that `[]`; with no escapes and one `"edges"`
-    in the text, the span is then exactly the value json.loads would read.
+    The edge span is checked by one pattern and parsed by numpy, and so is
+    a tree laid out as written right after it (`_bulk_tree`); the rest is
+    parsed by json with `[]` in their place. The rest must parse and its
+    top-level `edges` (and `tree`) must be that `[]`; with no escapes and
+    one `"edges"` in the text, each span is then exactly the value
+    json.loads would read.
     """
     if "\\" in text or text.count('"edges"') != 1:
         return None
@@ -128,17 +176,52 @@ def _bulk_graph_json(text: str):
     lo, hi = match.span(1)
     # the numbers first, so their text is freed before the rest is parsed
     nums = np.fromstring(text[lo:hi].translate(_NO_BRACKETS), dtype=np.int64, sep=",")
+    # the tree, when it is the last member: up to the document's closing brace
+    start, end, rows = hi + len(',"tree":'), text.rfind("}"), None
+    if text.startswith(',"tree":', hi):
+        rows = _bulk_tree(text[start:end])
+    if rows is None:
+        rest = text[:lo] + "[]" + text[hi:]
+    else:
+        rest = text[:lo] + "[]" + text[hi:start] + "[]" + text[end:]
     try:
-        data = json.loads(text[:lo] + "[]" + text[hi:])
+        data = json.loads(rest)
     except (ValueError, RecursionError):
         return None
     if not isinstance(data, dict) or data.get("edges") != []:
         return None
+    if rows is not None and data.get("tree") != []:
+        return None
     nums.setflags(write=False)  # so Graph adopts it without a copy
-    return data, nums.reshape(-1, 2)
+    return data, nums.reshape(-1, 2), rows
 
 
-def _graph_document(data, edge_array=None) -> GraphDocument:
+def _bulk_tree(text: str):
+    """Each level's phi rows, level 2 first, of a tree laid out exactly as
+    `dump_graph_json` writes it, or None for any other text. The dimension
+    comes from the number of phi arrays, so the work is bounded by the
+    text; every array must hold the entry count of its level."""
+    parts = _PHI.split(text)
+    found = parts[1::2]  # digits of each phi array, in text order
+    k = len(found).bit_length() + 1
+    if len(found) != (1 << (k - 1)) - 1:
+        return None
+    pieces, order = _tree_layout(k)
+    if parts[::2] != pieces:
+        return None
+    if k == 1:
+        return []
+    found = [found[i] for i in order.tolist()]
+    commas = np.fromiter(map(str.count, found, repeat(",")), np.int64, len(found))
+    widths = np.repeat(1 << np.arange(1, k), 1 << np.arange(k - 2, -1, -1))
+    if not np.array_equal(commas + 1, widths):  # array by array: no entry may move
+        return None
+    nums = np.fromstring(",".join(found), dtype=np.int64, sep=",")
+    # each level holds 2**(k-1) entries: 2**(k-d) rows of 2**(d-1)
+    return [row.reshape(-1, 1 << d) for d, row in enumerate(nums.reshape(k - 1, -1), 1)]
+
+
+def _graph_document(data, edge_array=None, tree_rows=None) -> GraphDocument:
     if not isinstance(data, dict):
         raise ValueError("graph JSON must be an object")
     dimension = data.get("dimension")
@@ -156,13 +239,15 @@ def _graph_document(data, edge_array=None) -> GraphDocument:
         edge_array = edges
     graph = Graph(1 << dimension, edge_array)
     tree = None
-    if data.get("tree") is not None:
+    if tree_rows is not None:
+        tree = _tree_from_rows(tree_rows)
+    elif data.get("tree") is not None:
         tree = tree_from_json_obj(data["tree"])
-        if tree.dimension != dimension:
-            raise ValueError(
-                f"tree dimension {tree.dimension} disagrees with "
-                f"declared dimension {dimension}"
-            )
+    if tree is not None and tree.dimension != dimension:
+        raise ValueError(
+            f"tree dimension {tree.dimension} disagrees with "
+            f"declared dimension {dimension}"
+        )
     return GraphDocument(graph, dimension, tree)
 
 
@@ -193,8 +278,11 @@ def load_edge_list(fp: Iterable[str]) -> Graph:
 
 
 def dump_arrangement(arrangement: LinearArrangement, fp: IO[str]) -> None:
-    for v, p in enumerate(arrangement.to_list()):
-        fp.write(f"{v} {p}\n")
+    positions = arrangement.positions
+    for lo in range(0, len(positions), _BLOCK):
+        block = positions[lo : lo + _BLOCK].tolist()
+        lines = chain.from_iterable(zip(range(lo, lo + len(block)), block))
+        fp.write("".join(["%d %d\n"] * len(block)) % tuple(lines))
 
 
 def load_arrangement(fp: IO[str]) -> LinearArrangement:

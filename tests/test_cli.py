@@ -444,3 +444,44 @@ def test_mutated_files_exit_with_a_documented_code(fuzz_dir, files):
         status, _, err = invoke(*map(str, argv))
         assert status in (0, 1, 2, 3)
         assert "Traceback" not in err
+
+
+@st.composite
+def mutated_edge_lists(draw):
+    kind = draw(st.sampled_from(KINDS))
+    seed = draw(st.integers(0, 3)) if kind == "random" else None
+    return draw(mutated(valid_files(kind, draw(st.integers(1, 3)), seed)[1]))
+
+
+@settings(max_examples=60)
+@given(text=mutated_edge_lists())
+def test_solve_on_mutated_edge_lists_exits_with_a_documented_code(fuzz_dir, text):
+    """solve -i on a mutated edge list of at most 8 vertices (a mutated
+    header may ask for up to 16, which the budget stops) ends with exit
+    code 0..3 and no traceback."""
+    path = fuzz_dir / "solve.txt"
+    path.write_text(text, encoding="utf-8")
+    status, _, err = invoke("solve", "-i", str(path), "--budget", "0.5")
+    assert status in (0, 1, 2, 3)
+    assert "Traceback" not in err
+
+
+@st.composite
+def mutated_table_argvs(draw):
+    """table with mutated -n and --m or --max-m values; two edits keep
+    --max-m below 10 000 rows."""
+    n = str(draw(st.integers(1, 6)))
+    if draw(st.booleans()):
+        option, ms = "--m", draw(st.lists(st.integers(1, 63), min_size=1, max_size=4))
+        value = ",".join(map(str, ms))
+    else:
+        option, value = "--max-m", str(draw(st.integers(1, 63)))
+    return ["table", "-n", draw(mutated(n, 2)), option, draw(mutated(value, 2))]
+
+
+@settings(max_examples=100)
+@given(argv=mutated_table_argvs())
+def test_table_on_mutated_values_exits_with_a_documented_code(argv):
+    status, _, err = invoke(*argv)
+    assert status in (0, 1, 2, 3)
+    assert "Traceback" not in err
