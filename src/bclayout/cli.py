@@ -16,10 +16,10 @@ from . import families, formats, verify
 from .core import DEFAULT_DIMENSION_CAP, DimensionCapError, _check_cap, validate
 from .isoperimetric import EnumerationLimitError
 from .layout import (
-    BRANCH_AND_BOUND_VERTEX_LIMIT,
     EXHAUSTIVE_VERTEX_LIMIT,
     LinearArrangement,
     SolverLimitError,
+    _check_solver_limit,
     bc_arrangement,
     certify,
     certify_tree,
@@ -32,8 +32,19 @@ from .layout import (
 FULL_TABLE_DIMENSION_LIMIT = 20
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _build_parser(out, err) -> argparse.ArgumentParser:
+    class Parser(argparse.ArgumentParser):  # subparsers take the same class
+        """Help goes to `out` and usage errors to `err`, not sys.stdout/stderr."""
+
+        def print_help(self, file=None):
+            super().print_help(file or out)
+
+        def error(self, message):
+            self.print_usage(err)
+            err.write(f"{self.prog}: error: {message}\n")
+            raise SystemExit(2)
+
+    parser = Parser(
         prog="bclayout",
         description=(
             "Construct bijective-connection graphs, compute their "
@@ -237,17 +248,17 @@ def _emit_report(report, args, out) -> None:
 
 def _cmd_solve(args, out, err) -> int:
     spec, doc = _source(args, formats.load_graph_any)
+    if spec is not None:  # the solver's limit before any tree is built
+        families.check_spec(spec, cap=args.cap)
+    size = doc.graph.vertex_count if spec is None else 1 << spec.dimension
+    mode = args.mode
+    if mode == "auto":
+        mode = "exhaustive" if size <= EXHAUSTIVE_VERTEX_LIMIT else "branch-and-bound"
+    _check_solver_limit(mode, size)
     if spec is not None:
         doc = formats.GraphDocument.from_bc(families.build(spec, cap=args.cap))
     graph = doc.graph
     incumbent = None if doc.tree is None else bc_arrangement(doc.tree)
-    mode = args.mode
-    if mode == "auto":
-        mode = (
-            "exhaustive"
-            if graph.vertex_count <= EXHAUSTIVE_VERTEX_LIMIT
-            else "branch-and-bound"
-        )
     result = minla_exact(
         graph, mode, budget_seconds=args.budget, incumbent=incumbent
     )
@@ -283,7 +294,7 @@ def run(argv, stdout=None, stderr=None) -> int:
     """Parse and execute one command; returns the exit status."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
+    parser = _build_parser(out, err)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -7,6 +7,10 @@ a lower bound on the cost of any arrangement. For BC graphs the recursive
 construction-tree arrangement meets that bound exactly, which certifies
 minimality without search; independent exhaustive and branch-and-bound
 solvers confirm it at small scale.
+
+`certify_tree` reports the proven cut profile theta(n, m) from the tree's
+dimension alone; `certify`, `evaluate_arrangement` and `cut_profile`
+measure an edge array, so they also check graphs the proof does not cover.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .core import (
     ConstructionTree,
     Graph,
     _check_cap,
-    level_rows,
 )
 from .isoperimetric import brute_force_tables, sum_edge_boundary
 from .rng import SplitMix64
@@ -143,35 +146,32 @@ def _check_sizes(graph: Graph, vertex_count: int) -> None:
 
 def arrangement_cost(graph: Graph, arrangement: LinearArrangement) -> int:
     """Total edge span sum(|f(u) - f(v)|), exact."""
-    ((lo, hi),) = _slot_pairs(graph, arrangement)
+    lo, hi = _slot_pairs(graph, arrangement)
     return int(hi.sum()) - int(lo.sum())
 
 
 def cut_profile(graph: Graph, arrangement: LinearArrangement) -> CutProfile:
     """Crossing-edge counts for every cut of the arrangement."""
-    return _accumulate(graph.vertex_count, _slot_pairs(graph, arrangement))[1]
+    return _accumulate(graph.vertex_count, *_slot_pairs(graph, arrangement))[1]
 
 
 def _slot_pairs(graph: Graph, arrangement: LinearArrangement):
-    """The edges as one block of slot pairs lo <= hi; slot = position - 1."""
+    """The edges as slot pairs lo <= hi; slot = position - 1."""
     _check_sizes(graph, len(arrangement))
     slots = arrangement.positions - 1
     edges = graph.edge_array
     lo, hi = slots[edges[:, 0]], slots[edges[:, 1]]
-    return [(np.minimum(lo, hi), np.maximum(lo, hi, out=hi))]  # min reads hi first
+    return np.minimum(lo, hi), np.maximum(lo, hi, out=hi)  # min reads hi first
 
 
-def _accumulate(size: int, blocks) -> tuple[int, CutProfile]:
-    """Total span and cut profile of blocks of slot pairs lo <= hi in
-    0..size-1: an edge spans hi - lo, and cut c (after slot c) counts the
-    edges with lo <= c < hi, a running sum of the starts lo minus the stops
-    hi. int64 is exact here: every span < N and M*N stays far below 2**63."""
-    cost = 0
-    delta = np.zeros(size, dtype=np.int64)
-    for lo, hi in blocks:
-        cost += int(hi.sum()) - int(lo.sum())
-        delta += np.bincount(lo.ravel(), minlength=size)
-        delta -= np.bincount(hi.ravel(), minlength=size)
+def _accumulate(size: int, lo, hi) -> tuple[int, CutProfile]:
+    """Total span and cut profile of the slot pairs lo <= hi in 0..size-1:
+    an edge spans hi - lo, and cut c (after slot c) counts the edges with
+    lo <= c < hi, a running sum of the starts lo minus the stops hi. int64
+    is exact here: every span < N and M*N stays far below 2**63."""
+    delta = np.bincount(lo, minlength=size)
+    delta -= np.bincount(hi, minlength=size)
+    cost = int(hi.sum()) - int(lo.sum())
     return cost, CutProfile(tuple(np.cumsum(delta)[: size - 1].tolist()))
 
 
@@ -228,16 +228,7 @@ def minla_exact(
     proven=False instead of failing.
     """
     n = graph.vertex_count
-    if mode == "exhaustive":
-        limit = EXHAUSTIVE_VERTEX_LIMIT
-    elif mode == "branch-and-bound":
-        limit = BRANCH_AND_BOUND_VERTEX_LIMIT
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    if n > limit:
-        raise SolverLimitError(
-            f"{mode} mode supports at most {limit} vertices, got {n}"
-        )
+    _check_solver_limit(mode, n)
     if incumbent is None:
         incumbent = LinearArrangement.identity(n)
     else:
@@ -253,6 +244,20 @@ def minla_exact(
     return ExactResult(
         cost, arrangement, proven, mode, nodes, time.perf_counter() - start
     )
+
+
+def _check_solver_limit(mode: str, vertex_count: int) -> None:
+    """Raise SolverLimitError unless `mode` searches graphs this large."""
+    if mode == "exhaustive":
+        limit = EXHAUSTIVE_VERTEX_LIMIT
+    elif mode == "branch-and-bound":
+        limit = BRANCH_AND_BOUND_VERTEX_LIMIT
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    if vertex_count > limit:
+        raise SolverLimitError(
+            f"{mode} mode supports at most {limit} vertices, got {vertex_count}"
+        )
 
 
 def _solve_exhaustive(graph, incumbent):
@@ -332,22 +337,47 @@ def certify(bc: BcGraph) -> LayoutReport:
     lower bound. Equality of achieved cost and universal lower bound proves
     minimality outright, so for a valid BC graph this reports optimal=True.
     The arrangement is the identity, slot v for vertex v, so the edge array
-    is read as one block of slot pairs; see `certify_tree`.
+    is read as the slot pairs and measured.
     """
     _check_sizes(bc.graph, 1 << bc.tree.dimension)
-    return _bc_report(bc.dimension, bc.graph.vertex_count, [bc.graph.edge_array.T])
+    cost, profile = _accumulate(bc.graph.vertex_count, *bc.graph.edge_array.T)
+    return _bc_report(bc.dimension, cost, profile)
 
 
 def certify_tree(tree: ConstructionTree) -> LayoutReport:
-    """`certify` of the graph a construction tree describes, read from the
-    tree's level rows one level at a time, so the graph is never built."""
-    _check_cap(tree.dimension, MAX_DIMENSION_CAP)
-    blocks = ((u, v) for _, u, v in level_rows(tree))
-    return _bc_report(tree.dimension, 1 << tree.dimension, blocks)
+    """`certify` of the graph a construction tree describes, from the proven
+    cut profile: neither the graph nor the tree's level rows are read.
+
+    Block lemma. Under the identity arrangement vertex v sits at slot v. A
+    level-d block covers the slots base..base + 2**d - 1, and its matching
+    joins x to h + phi(x) (local ids, h = 2**(d-1), x < h; level 1 is the
+    edge (0, 1)). A cut with m slots before it meets one block of the level,
+    at local position c = m mod 2**d; every other block lies on one side.
+    Edge x crosses it when x < c <= h + phi(x). For c <= h every x < c does,
+    as phi(x) >= 0: c edges. For c >= h every x < h lies left, and x crosses
+    when phi(x) >= c - h; phi is a bijection onto 0..h-1, so 2**d - c do.
+    Either way min(c, 2**d - c) edges cross, whatever phi is, so every tree
+    has the cut profile theta(n, m) = sum over d = 1..n of that count. The
+    block's spans sum to h*h + sum(phi) - sum(x) = 4**(d-1), so the cost is
+    sum over d of 2**(n-d) * 4**(d-1).
+
+    theta doubles: with h = 2**(d-1), theta_d[m] = theta_(d-1)[m] + m for
+    m <= h, and theta_(d-1)[m - h] + 2**d - m for m >= h, which mirrors the
+    first half, as theta_(d-1) is symmetric. Every row is checked to be a
+    permutation when a tree is made, so only the dimension is checked here.
+    """
+    n = tree.dimension
+    _check_cap(n, MAX_DIMENSION_CAP)
+    theta = np.zeros((1 << n) + 1, dtype=np.int64)  # theta[m] for m = 0..2**n
+    for d in range(1, n + 1):
+        h = 1 << (d - 1)
+        theta[: h + 1] += np.arange(h + 1)
+        theta[h + 1 : 2 * h + 1] = theta[h - 1 :: -1]
+    cost = sum((1 << (n - d)) * 4 ** (d - 1) for d in range(1, n + 1))
+    return _bc_report(n, cost, CutProfile(tuple(theta[1:-1].tolist())))
 
 
-def _bc_report(n: int, size: int, blocks) -> LayoutReport:
-    cost, profile = _accumulate(size, blocks)
+def _bc_report(n: int, cost: int, profile: CutProfile) -> LayoutReport:
     bound = lower_bound_closed(n)
     return LayoutReport(cost, bound, bound, profile, cost == bound)
 
@@ -364,7 +394,7 @@ def evaluate_arrangement(
     otherwise the generic enumeration bound is used, which limits the graph
     to the subset-enumeration size.
     """
-    cost, profile = _accumulate(graph.vertex_count, _slot_pairs(graph, arrangement))
+    cost, profile = _accumulate(graph.vertex_count, *_slot_pairs(graph, arrangement))
     if witness is not None:
         bound = lower_bound_closed(witness.dimension)
         closed: int | None = bound

@@ -32,6 +32,7 @@ from .layout import (
     arrangement_cost,
     bc_arrangement,
     certify,
+    certify_tree,
     cut_profile,
     lower_bound_closed,
     lower_bound_generic,
@@ -122,11 +123,14 @@ def _arrangement_certificates(seed: int) -> tuple[bool, str]:
                 failures.append(
                     f"{name} n={n}: cost {report.cost}, bound {report.lower_bound}"
                 )
+            # the proven profile of certify_tree against the measured one
+            if certify_tree(bc.tree) != report:
+                failures.append(f"{name} n={n}: closed-form report differs")
     if failures:
         return False, "; ".join(failures[:4])
     return True, (
         f"{checked} certificates met 2**(n-1)*(2**n-1) for n=1..20 "
-        f"(n=10: 523776, n=20: 549755289600)"
+        f"(n=10: 523776, n=20: 549755289600) and equalled the closed-form route"
     )
 
 

@@ -258,6 +258,22 @@ def test_solve_too_large_is_resource_error():
     assert "16" in err
 
 
+def test_solve_family_checks_the_limit_before_building(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the graph was built above the solver's limit")
+
+    monkeypatch.setattr(families, "build", unreachable)
+    message = "error: branch-and-bound mode supports at most 16 vertices, got 2097152\n"
+    assert invoke("solve", "--family", "hypercube", "-n", "21") == (3, "", message)
+    message = "error: exhaustive mode supports at most 8 vertices, got 16\n"
+    argv = ("solve", "--family", "mobius-1", "-n", "4", "--mode", "exhaustive")
+    assert invoke(*argv) == (3, "", message)
+    # the spec is checked first: its cap and its seed
+    status, _, err = invoke("solve", "--family", "hypercube", "-n", "27")
+    assert (status, err) == (3, "error: dimension 27 exceeds the materialization cap 25\n")
+    assert_input_error("solve", "--family", "random", "-n", "21")
+
+
 def test_solve_budget_exhaustion(tmp_path):
     gpath = tmp_path / "g.edges"
     edges = [(u, v) for u in range(12) for v in range(u + 1, 12) if (u + v) % 3]
@@ -312,6 +328,22 @@ def test_usage_errors():
     assert invoke("build", "--family", "klein-bottle", "-n", "3")[0] == 2
     assert invoke("build", "--family", "hypercube")[0] == 2  # missing -n
     assert invoke("eval", "-g", "/nonexistent", "-a", "/nonexistent")[0] == 2
+
+
+def test_usage_goes_to_the_given_streams(capsys):
+    status, out, err = invoke("table", "-n", "x", "--max-m", "3")
+    assert (status, out) == (2, "")
+    assert err.startswith("usage: bclayout table ")
+    assert err.endswith(
+        "bclayout table: error: argument -n/--dimension: invalid int value: 'x'\n"
+    )
+    status, out, err = invoke("frobnicate")
+    assert (status, out) == (2, "")
+    assert "bclayout: error: argument command: invalid choice: 'frobnicate'" in err
+    status, out, err = invoke("certify", "--help")
+    assert (status, err) == (0, "")
+    assert out.startswith("usage: bclayout certify ")
+    assert capsys.readouterr() == ("", "")
 
 
 # ------------------------------------------------- malformed input

@@ -283,7 +283,7 @@ def test_materialize_emits_canonical_rows(nested, rnd):
 @given(trees())
 @settings(max_examples=100)
 def test_certify_tree_matches_the_materialized_graph(tree):
-    # the level rows, the edge array as one block, and the evaluation by
+    # the proven profile, the edge array as one block, and the evaluation by
     # positions give one report
     bc = BcGraph(tree.dimension, materialize(tree), tree)
     report = certify_tree(tree)

@@ -20,6 +20,7 @@ from bclayout import (
     certify,
     certify_tree,
     cut_profile,
+    edge_boundary,
     evaluate_arrangement,
     hypercube,
     locally_twisted,
@@ -219,7 +220,7 @@ def test_certify_spot_dimensions():
 
 SPECS = [
     FamilySpec(kind, n, seed)
-    for n in range(1, 15)
+    for n in range(1, 17)
     for kind in KINDS
     for seed in ((42, (1 << 64) - 1) if kind == "random" else (None,))
 ]
@@ -227,8 +228,26 @@ SPECS = [
 
 @pytest.mark.parametrize("spec", SPECS, ids=str)
 def test_certify_tree_equals_certify(spec):
-    # the tree's level rows and the materialized edge array give one report
+    # the proven profile and the measured edge array give one report
     assert certify_tree(build_tree(spec)) == certify(build_family(spec))
+
+
+@pytest.mark.parametrize("spec", [s for s in SPECS if s.dimension <= 12], ids=str)
+def test_certify_tree_profile_is_the_boundary_table(spec):
+    n = spec.dimension
+    counts = certify_tree(build_tree(spec)).cut_profile.counts
+    assert counts == tuple(edge_boundary(n, m) for m in range(1, 1 << n))
+
+
+def test_certify_tree_reads_no_level_rows():
+    class UnreadableTree:
+        dimension = 10
+
+        @property
+        def levels(self):
+            raise AssertionError("certify_tree read the tree's level rows")
+
+    assert certify_tree(UnreadableTree()) == certify(hypercube(10))
 
 
 def test_certify_checks_the_vertex_count():
@@ -240,8 +259,6 @@ def test_certify_checks_the_vertex_count():
 @pytest.mark.parametrize("n", (15, 16))
 def test_every_prefix_of_the_tree_arrangement_is_optimal(n):
     # the cut profile meets the per-size boundary minimum entrywise
-    from bclayout import edge_boundary
-
     for bc in (hypercube(n), mobius(n, 1)):
         counts = cut_profile(bc.graph, bc_arrangement(bc.tree)).counts
         assert all(
