@@ -277,21 +277,6 @@ def materialize(tree: ConstructionTree) -> Graph:
     return Graph(1 << n, edges)
 
 
-def compose(g1: BcGraph, g2: BcGraph, phi) -> BcGraph:
-    """Join two equal-dimension BC graphs with the matching v -> phi[v].
-
-    The result keeps g1's vertex ids, shifts g2's by half, and adds the
-    matching edges (v, phi[v] + half); its graph is built from the joined
-    construction tree.
-    """
-    if g1.dimension != g2.dimension:
-        raise ValueError(
-            f"cannot compose dimensions {g1.dimension} and {g2.dimension}"
-        )
-    tree = Node(g1.tree, g2.tree, tuple(phi))
-    return BcGraph(tree.dimension, materialize(tree), tree)
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool

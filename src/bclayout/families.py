@@ -44,22 +44,22 @@ class FamilySpec:
             raise ValueError(f"family {self.kind!r} does not take a seed")
 
 
-def hypercube(n: int, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph:
+def hypercube(n: int) -> BcGraph:
     """The n-dimensional hypercube: identity bijection at every tree node,
     so adjacency is exactly single-bit-flip on the vertex ids."""
-    return build(FamilySpec("hypercube", n), cap=cap)
+    return build(FamilySpec("hypercube", n))
 
 
-def locally_twisted(n: int, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph:
+def locally_twisted(n: int) -> BcGraph:
     """The locally twisted cube.
 
     Dimension 2 joins with the identity; dimension d >= 3 joins with
     phi(x) = x with bit (d-2) flipped whenever bit 0 of x is set.
     """
-    return build(FamilySpec("locally-twisted", n), cap=cap)
+    return build(FamilySpec("locally-twisted", n))
 
 
-def mobius(n: int, variant: int, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph:
+def mobius(n: int, variant: int) -> BcGraph:
     """Mobius cube, variant 0 or 1.
 
     Both variants share the recursive shape (left subtree variant 0, right
@@ -69,10 +69,10 @@ def mobius(n: int, variant: int, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph
     """
     if variant not in (0, 1):
         raise ValueError("variant must be 0 or 1")
-    return build(FamilySpec(f"mobius-{int(variant)}", n), cap=cap)
+    return build(FamilySpec(f"mobius-{int(variant)}", n))
 
 
-def random_bc(n: int, seed: int, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph:
+def random_bc(n: int, seed: int) -> BcGraph:
     """Uniformly random member of the dimension-n BC family.
 
     Every tree node independently draws a uniform permutation. The stream
@@ -81,7 +81,7 @@ def random_bc(n: int, seed: int, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph
     The draws are made a level at a time from the stream's counter, and a
     rejected draw delays every later one, as it does in the scalar stream.
     """
-    return build(FamilySpec("random", n, seed), cap=cap)
+    return build(FamilySpec("random", n, seed))
 
 
 def build(spec: FamilySpec, *, cap: int = DEFAULT_DIMENSION_CAP) -> BcGraph:

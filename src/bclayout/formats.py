@@ -93,24 +93,27 @@ _EDGES = re.compile(rf'"edges":(\[(?:\[{_INT},{_INT}\](?:,\[{_INT},{_INT}\])*+)?
 _PHI = re.compile(rf'"phi":\[({_INT}(?:,{_INT})*+)\]')
 _NO_BRACKETS = str.maketrans("", "", "[]")
 _BLOCK = 1 << 12  # edge rows, arrangement lines, tree leaves or cut counts per write
+_REPORT_CUTS = 32  # cut counts a human-readable report shows
 
 
 def dump_graph_json(doc: GraphDocument, fp: IO[str]) -> None:
     if doc.dimension is None:
         raise ValueError("graph JSON requires a dimension")
     fp.write(f'{{"dimension":{json.dumps(doc.dimension)},"edges":[')
-    # a block of rows at a time, by one format from the int columns: no list
-    # per row and no string of the whole document
-    edges, sep = doc.graph.edge_array, ""
-    for lo in range(0, len(edges), _BLOCK):
-        block = edges[lo : lo + _BLOCK]
-        fp.write(sep + ",".join(["[%d,%d]"] * len(block)) % tuple(block.ravel().tolist()))
-        sep = ","
+    _write_rows(fp, doc.graph.edge_array, "[%d,%d]", ",")
     fp.write("]")
     if doc.tree is not None:
         fp.write(',"tree":')
         _dump_tree(doc.tree.levels, doc.tree.dimension, 0, fp)
     fp.write("}\n")
+
+
+def _write_rows(fp: IO[str], rows: np.ndarray, fmt: str, sep: str) -> None:
+    """Write each row of an int array by `fmt`, joined by `sep`, a block of
+    rows at a time by one format: no list per row and no string of it all."""
+    for lo in range(0, len(rows), _BLOCK):
+        block = rows[lo : lo + _BLOCK]
+        fp.write((sep if lo else "") + sep.join([fmt] * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _dump_tree(levels, d: int, b: int, fp: IO[str]) -> None:
@@ -253,8 +256,7 @@ def _graph_document(data, edge_array=None, tree_rows=None) -> GraphDocument:
 
 def dump_edge_list(graph: Graph, fp: IO[str]) -> None:
     fp.write(f"{graph.vertex_count} {graph.edge_count}\n")
-    for u, v in graph.iter_edges():
-        fp.write(f"{u} {v}\n")
+    _write_rows(fp, graph.edge_array, "%d %d\n", "")
 
 
 def load_edge_list(fp: Iterable[str]) -> Graph:
@@ -330,7 +332,7 @@ def dump_report_json(report: LayoutReport, fp: IO[str]) -> None:
     fp.write("]}\n")
 
 
-def format_report_lines(report: LayoutReport, *, max_cuts: int = 32) -> list[str]:
+def format_report_lines(report: LayoutReport) -> list[str]:
     """Human-readable rendering of a layout report."""
     lines = [
         f"cost         {report.cost}",
@@ -339,11 +341,11 @@ def format_report_lines(report: LayoutReport, *, max_cuts: int = 32) -> list[str
         f"optimal      {'yes' if report.optimal else 'no'}",
     ]
     cuts = report.cut_profile.counts
-    if len(cuts) <= max_cuts:
+    if len(cuts) <= _REPORT_CUTS:
         shown = " ".join(str(c) for c in cuts)
     else:
-        head = " ".join(str(c) for c in cuts[: max_cuts // 2])
-        tail = " ".join(str(c) for c in cuts[-max_cuts // 2 :])
+        head = " ".join(str(c) for c in cuts[: _REPORT_CUTS // 2])
+        tail = " ".join(str(c) for c in cuts[-_REPORT_CUTS // 2 :])
         shown = f"{head} ... {tail}"
     lines.append(f"cuts         {shown}")
     return lines

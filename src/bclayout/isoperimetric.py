@@ -32,31 +32,17 @@ class EnumerationLimitError(ValueError):
     """Graph is too large for exhaustive subset enumeration."""
 
 
-@dataclass(frozen=True)
-class BinaryDecomposition:
-    """Strictly decreasing exponents of the base-2 expansion of an integer."""
-
-    exponents: tuple[int, ...]
-
-    @property
-    def r(self) -> int:
-        return len(self.exponents)
-
-    def value(self) -> int:
-        return sum(1 << l for l in self.exponents)
-
-
-def binary_decomposition(m: int) -> BinaryDecomposition:
+def binary_decomposition(m: int) -> tuple[int, ...]:
+    """Strictly decreasing exponents of the base-2 expansion of m >= 1."""
     if m < 1:
         raise ValueError("m must be positive")
-    exps = tuple(i for i in range(m.bit_length() - 1, -1, -1) if (m >> i) & 1)
-    return BinaryDecomposition(exps)
+    return tuple(i for i in range(m.bit_length() - 1, -1, -1) if (m >> i) & 1)
 
 
 def max_induced_edges(m: int) -> int:
     """Most edges any m-vertex subset of a (large enough) BC graph induces."""
     total = 0
-    for i, l in enumerate(binary_decomposition(m).exponents):
+    for i, l in enumerate(binary_decomposition(m)):
         # (l << l) >> 1 == l * 2**(l-1), exact for every l >= 0
         total += ((l << l) >> 1) + (i << l)
     return total
@@ -74,7 +60,7 @@ def edge_boundary_expanded(n: int, m: int) -> int:
     _check_boundary_args(n, m)
     return sum(
         (n - l - 2 * i) * (1 << l)
-        for i, l in enumerate(binary_decomposition(m).exponents)
+        for i, l in enumerate(binary_decomposition(m))
     )
 
 
@@ -119,27 +105,29 @@ def brute_force_min_boundary(graph: Graph, m: int) -> SubsetWitness:
 
 
 def brute_force_tables(graph: Graph) -> tuple[list[int], list[int]]:
-    """Exact (max induced edges, min edge boundary) for every size 0..N.
+    """Exact (max induced edges, min edge boundary) for every size 0..N."""
+    return _best_by_size(graph, boundary=False), _best_by_size(graph, boundary=True)
 
-    Each comes from one histogram over (subset size, value) keys, read a
-    row of the subset lattice at a time: rows are aligned, so a subset's
-    size is its row's popcount plus its column's. Only the comprehension
-    holds a table, so the first is freed before the second is built.
+
+def _best_by_size(graph: Graph, boundary: bool) -> list[int]:
+    """Most induced edges, or with `boundary` least edge boundary, of the
+    subsets of each size 0..N.
+
+    Read from one histogram of that table over (subset size, value) keys,
+    a row of the subset lattice at a time: rows are aligned, so a subset's
+    size is its row's popcount plus its column's.
     """
     n, width = graph.vertex_count, graph.edge_count + 1
     _check_enumerable(n)
     cols = min(1 << n, _ROW)
     offsets = np.bitwise_count(np.arange(cols, dtype=np.uint32)).astype(np.intp) * width
-    seen = [
-        sum(
-            np.bincount(offsets + row + r.bit_count() * width, minlength=(n + 1) * width)
-            for r, row in enumerate(_subset_table(graph, boundary).reshape(-1, cols))
-        ).reshape(n + 1, width) > 0
-        for boundary in (False, True)
-    ]
-    induced_max = (width - 1 - seen[0][:, ::-1].argmax(axis=1)).tolist()
-    boundary_min = seen[1].argmax(axis=1).tolist()
-    return induced_max, boundary_min
+    seen = sum(
+        np.bincount(offsets + row + r.bit_count() * width, minlength=(n + 1) * width)
+        for r, row in enumerate(_subset_table(graph, boundary).reshape(-1, cols))
+    ).reshape(n + 1, width) > 0
+    if boundary:
+        return seen.argmax(axis=1).tolist()
+    return (width - 1 - seen[:, ::-1].argmax(axis=1)).tolist()
 
 
 def _first_best(table: np.ndarray, m: int, sign: int) -> int:

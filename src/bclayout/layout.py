@@ -28,7 +28,7 @@ from .core import (
     Graph,
     _check_cap,
 )
-from .isoperimetric import brute_force_tables, sum_edge_boundary
+from .isoperimetric import _best_by_size, sum_edge_boundary
 from .rng import SplitMix64
 
 EXHAUSTIVE_VERTEX_LIMIT = 8
@@ -194,7 +194,7 @@ def lower_bound_closed(n: int) -> int:
 def lower_bound_generic(graph: Graph) -> int:
     """Cost lower bound valid for any graph: sum over every prefix size of
     the exact minimum edge boundary, found by subset enumeration."""
-    _, boundary_min = brute_force_tables(graph)
+    boundary_min = _best_by_size(graph, boundary=True)
     return sum(boundary_min[1 : graph.vertex_count])
 
 
@@ -285,7 +285,7 @@ def _solve_branch_and_bound(graph, incumbent, budget_seconds):
     n = graph.vertex_count
     masks = graph.adjacency_masks()
     degrees = graph.degrees().tolist()
-    _, boundary_min = brute_force_tables(graph)
+    boundary_min = _best_by_size(graph, boundary=True)
     # rest[k]: least possible crossing total of cuts k+1..n-1, any completion
     rest = [0] * (n + 1)
     for k in range(n - 2, -1, -1):

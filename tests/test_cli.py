@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bclayout import KINDS, FamilySpec, bc_arrangement, build_family, edge_boundary, hypercube
-from bclayout import cli, core, families, formats
+from bclayout import cli, core, families, formats, layout
 from bclayout.cli import run
 from bclayout.formats import load_graph_json
 
@@ -214,6 +214,54 @@ def test_certify_corrupted_file_fails(tmp_path):
     status, _, err = invoke("certify", "-i", str(gpath))
     assert status == 1
     assert "invalid witness" in err
+
+
+def family_flags(n):
+    """certify/build flags for every kind at dimension n, random at two seeds."""
+    for kind in KINDS:
+        seeds = [7, (1 << 64) - 1] if kind == "random" else [None]
+        for seed in seeds:
+            yield ["--family", kind, "-n", str(n)] + ([] if seed is None else ["--seed", str(seed)])
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_certify_input_equals_certify_family(tmp_path, n):
+    gpath = tmp_path / "g.json"
+    for flags in family_flags(n):
+        assert invoke("build", *flags, "-o", str(gpath))[0] == 0
+        for human in ([], ["--human"]):
+            family = invoke("certify", *flags, *human)
+            assert family[0] == 0
+            assert invoke("certify", "-i", str(gpath), *human) == family
+
+
+def test_certify_swapped_matching_edges_fail_with_the_witness_lines(tmp_path):
+    gpath = tmp_path / "g.json"
+    assert invoke("build", "--family", "hypercube", "-n", "3", "-o", str(gpath))[0] == 0
+    data = json.loads(gpath.read_text())
+    edges = data["edges"]  # the top matching 0-4, 1-5 becomes 0-5, 1-4: still 3-regular
+    edges[edges.index([0, 4])], edges[edges.index([1, 5])] = [0, 5], [1, 4]
+    gpath.write_text(json.dumps(data))
+    assert invoke("certify", "-i", str(gpath)) == (
+        1,
+        "",
+        "invalid witness: graph edges differ from those generated by the "
+        "construction tree: level 3, block 0 (vertices 0..7)\n",
+    )
+
+
+def test_certify_input_never_measures_the_edges(tmp_path, monkeypatch):
+    def no_measure(*args):
+        raise AssertionError("the edge array was measured")
+
+    monkeypatch.setattr(layout, "certify", no_measure)
+    monkeypatch.setattr(layout, "_accumulate", no_measure)
+    gpath = tmp_path / "g.json"
+    for flags in family_flags(6):
+        assert invoke("build", *flags, "-o", str(gpath))[0] == 0
+        status, out, _ = invoke("certify", "-i", str(gpath))
+        assert status == 0
+        assert json.loads(out)["cuts"] == [edge_boundary(6, m) for m in range(1, 64)]
 
 
 def test_certify_requires_exactly_one_source(tmp_path):

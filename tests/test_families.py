@@ -54,7 +54,7 @@ def test_out_of_range_dimension():
         with pytest.raises(ValueError):
             ctor(0)
     with pytest.raises(DimensionCapError):
-        hypercube(7, cap=6)
+        build_family(FamilySpec("hypercube", 7), cap=6)
     with pytest.raises(DimensionCapError):
         random_bc(30, 1)
 
@@ -66,11 +66,11 @@ def test_cap_above_ceiling_is_rejected_before_any_tree_is_built(monkeypatch):
     monkeypatch.setattr(families, "ConstructionTree", no_nodes)
     monkeypatch.setattr(families, "_random_levels", no_nodes)
     with pytest.raises(DimensionCapError):
-        hypercube(7, cap=6)
+        build_family(FamilySpec("hypercube", 7), cap=6)
     with pytest.raises(ValueError, match="cap must be"):
-        hypercube(3, cap=27)
+        build_family(FamilySpec("hypercube", 3), cap=27)
     with pytest.raises(ValueError, match="cap must be"):
-        random_bc(3, 1, cap=27)
+        build_family(FamilySpec("random", 3, 1), cap=27)
 
 
 def test_random_bc_checks_dimension_cap_and_seed_before_any_draw(monkeypatch):
@@ -82,7 +82,7 @@ def test_random_bc_checks_dimension_cap_and_seed_before_any_draw(monkeypatch):
     with pytest.raises(DimensionCapError):
         random_bc(30, 1)
     with pytest.raises(ValueError, match="cap must be"):
-        random_bc(3, 1, cap=27)
+        build_family(FamilySpec("random", 3, 1), cap=27)
     for n in (1, 3):
         for seed in (-1, 1 << 64, True, 3.0):
             with pytest.raises(ValueError, match="seed"):

@@ -2,6 +2,7 @@
 
 import functools
 import io
+import itertools
 import json
 import tracemalloc
 
@@ -132,6 +133,21 @@ def test_edge_list_round_trip():
     text = buf.getvalue()
     assert text.splitlines()[0] == "6 3"
     assert load_edge_list(io.StringIO(text)) == g
+
+
+@pytest.mark.parametrize("m", [0, 1, 4096, 4097])
+def test_edge_rows_are_written_as_one_line_each_would_be(m):
+    # a block of rows per write: the same text as one f-string per edge
+    pairs = itertools.islice(itertools.combinations(range(100), 2), m)
+    g = Graph(100, list(pairs))
+    buf = io.StringIO()
+    dump_edge_list(g, buf)
+    rows = g.edge_array.tolist()
+    assert buf.getvalue() == f"100 {m}\n" + "".join(f"{u} {v}\n" for u, v in rows)
+    buf = io.StringIO()
+    dump_graph_json(GraphDocument(g, 7), buf)
+    edges = ",".join(f"[{u},{v}]" for u, v in rows)
+    assert buf.getvalue() == f'{{"dimension":7,"edges":[{edges}]}}\n'
 
 
 def test_edge_list_rejects_malformed():

@@ -24,7 +24,9 @@ from bclayout import (
     edge_boundary,
     edge_boundary_expanded,
     hypercube,
+    lower_bound_generic,
     max_induced_edges,
+    minla_exact,
     random_bc,
     sum_edge_boundary,
 )
@@ -66,9 +68,9 @@ def complete_graph(n):
 )
 def test_binary_decomposition_examples(m, exponents):
     d = binary_decomposition(m)
-    assert d.exponents == exponents
-    assert d.r == len(exponents)
-    assert d.value() == m
+    assert d == exponents
+    assert len(d) == len(exponents)
+    assert sum(1 << l for l in d) == m
 
 
 def test_binary_decomposition_rejects_zero():
@@ -79,8 +81,8 @@ def test_binary_decomposition_rejects_zero():
 @given(st.integers(1, 2**70))
 def test_binary_decomposition_round_trip(m):
     d = binary_decomposition(m)
-    assert d.value() == m
-    assert list(d.exponents) == sorted(d.exponents, reverse=True)
+    assert sum(1 << l for l in d) == m
+    assert list(d) == sorted(d, reverse=True)
 
 
 # ------------------------------------------------------- closed forms
@@ -217,6 +219,23 @@ def test_witnesses_are_the_lowest_extreme_subsets(n, edges, seed):
         found = (brute_force_max_induced(g, m), brute_force_min_boundary(g, m))
         for witness, mask in zip(found, lowest):
             assert witness.vertices == tuple(v for v in range(n) if mask >> v & 1)
+
+
+def test_bounds_build_only_the_boundary_table(monkeypatch):
+    asked = []
+    subset_table = isoperimetric._subset_table
+
+    def recording(graph, boundary):
+        asked.append(boundary)
+        return subset_table(graph, boundary)
+
+    monkeypatch.setattr(isoperimetric, "_subset_table", recording)
+    g = hypercube(3).graph
+    assert lower_bound_generic(g) == 28
+    assert minla_exact(g, "branch-and-bound").cost == 28
+    assert asked == [True, True]
+    brute_force_tables(g)  # the oracle builds both, one at a time
+    assert asked == [True, True, False, True]
 
 
 def test_witnesses_attain_table_values():
