@@ -20,7 +20,6 @@ from .layout import (
     LinearArrangement,
     SolverLimitError,
     _check_solver_limit,
-    bc_arrangement,
     certify_tree,
     evaluate_arrangement,
     minla_exact,
@@ -254,13 +253,8 @@ def _cmd_solve(args, out, err) -> int:
     if mode == "auto":
         mode = "exhaustive" if size <= EXHAUSTIVE_VERTEX_LIMIT else "branch-and-bound"
     _check_solver_limit(mode, size)
-    if spec is not None:
-        doc = formats.GraphDocument.from_bc(families.build(spec, cap=args.cap))
-    graph = doc.graph
-    incumbent = None if doc.tree is None else bc_arrangement(doc.tree)
-    result = minla_exact(
-        graph, mode, budget_seconds=args.budget, incumbent=incumbent
-    )
+    graph = doc.graph if spec is None else families.build(spec, cap=args.cap).graph
+    result = minla_exact(graph, mode, budget_seconds=args.budget)
     payload = {
         "cost": result.cost,
         "proven": result.proven,
@@ -315,3 +309,7 @@ def run(argv, stdout=None, stderr=None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -317,38 +317,34 @@ def load_graph_any(fp: IO[str]) -> GraphDocument:
 
 
 def dump_report_json(report: LayoutReport, fp: IO[str]) -> None:
-    """The report as one JSON line, `cuts` last. The cuts are encoded a block
-    at a time, straight from the profile's tuple: no list copy of the 2^n
-    counts and no string of the whole report."""
+    """The report as one JSON line, `cuts` last. The cuts are written a
+    block at a time from the profile array: no list of the 2^n counts and no
+    string of the whole report."""
     fp.write(json.dumps({
         "cost": report.cost,
         "lower_bound": report.lower_bound,
         "closed_form": report.closed_form,
         "optimal": report.optimal,
     })[:-1] + ', "cuts": [')
-    cuts = report.cut_profile.counts
-    for lo in range(0, len(cuts), _BLOCK):
-        fp.write((", " if lo else "") + json.dumps(cuts[lo : lo + _BLOCK])[1:-1])
+    _write_rows(fp, report.cut_profile, "%d", ", ")
     fp.write("]}\n")
 
 
 def format_report_lines(report: LayoutReport) -> list[str]:
     """Human-readable rendering of a layout report."""
-    lines = [
+    cuts, half = report.cut_profile, _REPORT_CUTS // 2
+    if len(cuts) <= _REPORT_CUTS:
+        shown = " ".join(map(str, cuts.tolist()))
+    else:
+        head = " ".join(map(str, cuts[:half].tolist()))
+        shown = f"{head} ... " + " ".join(map(str, cuts[-half:].tolist()))
+    return [
         f"cost         {report.cost}",
         f"lower_bound  {report.lower_bound}",
         f"closed_form  {report.closed_form if report.closed_form is not None else '-'}",
         f"optimal      {'yes' if report.optimal else 'no'}",
+        f"cuts         {shown}",
     ]
-    cuts = report.cut_profile.counts
-    if len(cuts) <= _REPORT_CUTS:
-        shown = " ".join(str(c) for c in cuts)
-    else:
-        head = " ".join(str(c) for c in cuts[: _REPORT_CUTS // 2])
-        tail = " ".join(str(c) for c in cuts[-_REPORT_CUTS // 2 :])
-        shown = f"{head} ... {tail}"
-    lines.append(f"cuts         {shown}")
-    return lines
 
 
 def write_isoperimetric_table(fp: IO[str], n: int, ms: Iterable[int]) -> None:

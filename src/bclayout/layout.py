@@ -98,29 +98,28 @@ class LinearArrangement:
         return f"LinearArrangement(n={len(self)})"
 
 
-@dataclass(frozen=True)
-class CutProfile:
-    """Per-cut crossing counts: counts[i-1] is the number of edges whose
-    endpoint positions straddle the gap between positions i and i+1."""
-
-    counts: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayoutReport:
     """Cost of an arrangement against a lower bound. `closed_form` is the
     BC bound 2**(n-1) * (2**n - 1) when a BC witness applies, and then
-    equals `lower_bound`; it is None for the generic enumeration bound."""
+    equals `lower_bound`; it is None for the generic enumeration bound.
+    `cut_profile` is a read-only int64 array of per-cut crossing counts:
+    entry i-1 is the number of edges whose endpoint positions straddle the
+    gap between positions i and i+1."""
 
     cost: int
     lower_bound: int
     closed_form: int | None
-    cut_profile: CutProfile
+    cut_profile: np.ndarray
     optimal: bool
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LayoutReport):
+            return NotImplemented
+        scalars = (self.cost, self.lower_bound, self.closed_form, self.optimal)
+        return scalars == (
+            other.cost, other.lower_bound, other.closed_form, other.optimal
+        ) and np.array_equal(self.cut_profile, other.cut_profile)
 
 
 @dataclass(frozen=True)
@@ -150,8 +149,8 @@ def arrangement_cost(graph: Graph, arrangement: LinearArrangement) -> int:
     return int(hi.sum()) - int(lo.sum())
 
 
-def cut_profile(graph: Graph, arrangement: LinearArrangement) -> CutProfile:
-    """Crossing-edge counts for every cut of the arrangement."""
+def cut_profile(graph: Graph, arrangement: LinearArrangement) -> np.ndarray:
+    """Crossing-edge counts for every cut of the arrangement, read-only int64."""
     return _accumulate(graph.vertex_count, *_slot_pairs(graph, arrangement))[1]
 
 
@@ -164,15 +163,16 @@ def _slot_pairs(graph: Graph, arrangement: LinearArrangement):
     return np.minimum(lo, hi), np.maximum(lo, hi, out=hi)  # min reads hi first
 
 
-def _accumulate(size: int, lo, hi) -> tuple[int, CutProfile]:
+def _accumulate(size: int, lo, hi) -> tuple[int, np.ndarray]:
     """Total span and cut profile of the slot pairs lo <= hi in 0..size-1:
     an edge spans hi - lo, and cut c (after slot c) counts the edges with
     lo <= c < hi, a running sum of the starts lo minus the stops hi. int64
     is exact here: every span < N and M*N stays far below 2**63."""
     delta = np.bincount(lo, minlength=size)
     delta -= np.bincount(hi, minlength=size)
-    cost = int(hi.sum()) - int(lo.sum())
-    return cost, CutProfile(tuple(np.cumsum(delta)[: size - 1].tolist()))
+    profile = np.cumsum(delta)[: size - 1]
+    profile.setflags(write=False)
+    return int(hi.sum()) - int(lo.sum()), profile
 
 
 def bc_arrangement(tree: ConstructionTree) -> LinearArrangement:
@@ -209,7 +209,6 @@ def minla_exact(
     mode: str = "exhaustive",
     *,
     budget_seconds: float | None = None,
-    incumbent: LinearArrangement | None = None,
 ) -> ExactResult:
     """Exact minimum linear arrangement search.
 
@@ -223,16 +222,13 @@ def minla_exact(
         first half of the positions. Children are explored in ascending
         vertex id, so results are deterministic.
 
-    The incumbent defaults to the identity arrangement. When a budget is set
+    The incumbent starts as the identity arrangement. When a budget is set
     and exhausted, the best arrangement found so far is returned with
     proven=False instead of failing.
     """
     n = graph.vertex_count
     _check_solver_limit(mode, n)
-    if incumbent is None:
-        incumbent = LinearArrangement.identity(n)
-    else:
-        _check_sizes(graph, len(incumbent))
+    incumbent = LinearArrangement.identity(n)
     start = time.perf_counter()
     if mode == "exhaustive":
         cost, arrangement, nodes = _solve_exhaustive(graph, incumbent)
@@ -374,10 +370,12 @@ def certify_tree(tree: ConstructionTree) -> LayoutReport:
         theta[: h + 1] += np.arange(h + 1)
         theta[h + 1 : 2 * h + 1] = theta[h - 1 :: -1]
     cost = sum((1 << (n - d)) * 4 ** (d - 1) for d in range(1, n + 1))
-    return _bc_report(n, cost, CutProfile(tuple(theta[1:-1].tolist())))
+    profile = theta[1:-1]
+    profile.setflags(write=False)
+    return _bc_report(n, cost, profile)
 
 
-def _bc_report(n: int, cost: int, profile: CutProfile) -> LayoutReport:
+def _bc_report(n: int, cost: int, profile: np.ndarray) -> LayoutReport:
     bound = lower_bound_closed(n)
     return LayoutReport(cost, bound, bound, profile, cost == bound)
 

@@ -3,12 +3,16 @@
 import functools
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bclayout import KINDS, FamilySpec, bc_arrangement, build_family, edge_boundary, hypercube
+import bclayout
 from bclayout import cli, core, families, formats, layout
 from bclayout.cli import run
 from bclayout.formats import load_graph_json
@@ -565,3 +569,24 @@ def test_table_on_mutated_values_exits_with_a_documented_code(argv):
     status, _, err = invoke(*argv)
     assert status in (0, 1, 2, 3)
     assert "Traceback" not in err
+
+
+def run_module(*argv):
+    """`python -m ARGV` in a child process that imports this bclayout."""
+    src = os.path.dirname(os.path.dirname(bclayout.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-m", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_package_runs_as_a_module():
+    done = run_module("bclayout", "verify", "--suite", "cross-matching-constant")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("PASS cross-matching-constant: ")
+
+
+def test_cli_module_runs_as_a_script():
+    done = run_module("bclayout.cli", "table", "-n", "2")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "m,I,theta\n1,0,2\n2,1,2\n3,2,2\n"

@@ -44,7 +44,7 @@ from bclayout.formats import (
     write_isoperimetric_table,
 )
 from bclayout import cli, formats
-from bclayout.layout import CutProfile, LayoutReport, certify
+from bclayout.layout import LayoutReport, certify
 
 from mutations import mutated
 
@@ -208,12 +208,26 @@ def test_report_serialization():
 def test_report_json_equals_one_json_dumps(size):
     """Cut counts written a block at a time give the text one json.dumps of
     the whole report gives, on each side of the block size."""
-    counts = tuple((i * 7919) % 10007 for i in range(size))
-    report = LayoutReport(5, 3, None, CutProfile(counts), False)
+    counts = [(i * 7919) % 10007 for i in range(size)]
+    report = LayoutReport(5, 3, None, np.array(counts, dtype=np.int64), False)
     buf = io.StringIO()
     dump_report_json(report, buf)
     data = {"cost": 5, "lower_bound": 3, "closed_form": None, "optimal": False}
-    assert buf.getvalue() == json.dumps({**data, "cuts": list(counts)}) + "\n"
+    assert buf.getvalue() == json.dumps({**data, "cuts": counts}) + "\n"
+
+
+@pytest.mark.parametrize("size", [0, 1, 32, 33, 1 << 20])
+def test_human_report_shows_the_first_and_last_sixteen_cuts(size):
+    counts = list(range(0, 3 * size, 3))  # distinct, so a window that moves shows
+    report = LayoutReport(5, 3, None, np.array(counts, dtype=np.int64), False)
+    shown = counts if size <= 32 else [*counts[:16], "...", *counts[-16:]]
+    assert format_report_lines(report) == [
+        "cost         5",
+        "lower_bound  3",
+        "closed_form  -",
+        "optimal      no",
+        "cuts         " + " ".join(map(str, shown)),
+    ]
 
 
 def test_isoperimetric_table_output():

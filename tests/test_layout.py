@@ -11,6 +11,7 @@ from bclayout import (
     FamilySpec,
     Graph,
     KINDS,
+    LayoutReport,
     LinearArrangement,
     SplitMix64,
     arrangement_cost,
@@ -96,23 +97,23 @@ def test_cost_size_mismatch():
 
 
 def test_cut_profile_examples():
-    assert cut_profile(C4, LinearArrangement.identity(4)).counts == (2, 2, 2)
+    assert cut_profile(C4, LinearArrangement.identity(4)).tolist() == [2, 2, 2]
     q3 = hypercube(3)
     profile = cut_profile(q3.graph, bc_arrangement(q3.tree))
-    assert profile.counts == (3, 4, 5, 4, 5, 4, 3)
-    assert profile.total == 28
+    assert profile.tolist() == [3, 4, 5, 4, 5, 4, 3]
+    assert profile.sum() == 28
 
 
 def test_cut_profile_no_edges():
     g = Graph(3)
-    assert cut_profile(g, LinearArrangement.identity(3)).counts == (0, 0)
+    assert cut_profile(g, LinearArrangement.identity(3)).tolist() == [0, 0]
 
 
 @given(graphs, seeds)
 @settings(max_examples=60, deadline=None)
 def test_cut_totals_equal_cost(graph, seed):
     f = random_arrangement(graph.vertex_count, SplitMix64(seed))
-    assert cut_profile(graph, f).total == arrangement_cost(graph, f)
+    assert cut_profile(graph, f).sum() == arrangement_cost(graph, f)
 
 
 @given(graphs, seeds)
@@ -203,7 +204,7 @@ def test_certify_hypercube():
     assert report.lower_bound == 28
     assert report.closed_form == 28
     assert report.optimal
-    assert report.cut_profile.counts == (3, 4, 5, 4, 5, 4, 3)
+    assert report.cut_profile.tolist() == [3, 4, 5, 4, 5, 4, 3]
 
 
 def test_certify_examples():
@@ -235,8 +236,8 @@ def test_certify_tree_equals_certify(spec):
 @pytest.mark.parametrize("spec", [s for s in SPECS if s.dimension <= 12], ids=str)
 def test_certify_tree_profile_is_the_boundary_table(spec):
     n = spec.dimension
-    counts = certify_tree(build_tree(spec)).cut_profile.counts
-    assert counts == tuple(edge_boundary(n, m) for m in range(1, 1 << n))
+    counts = certify_tree(build_tree(spec)).cut_profile.tolist()
+    assert counts == [edge_boundary(n, m) for m in range(1, 1 << n)]
 
 
 def test_certify_tree_reads_no_level_rows():
@@ -256,11 +257,43 @@ def test_certify_checks_the_vertex_count():
         certify(BcGraph(3, Graph(16, bc.graph.edge_array), bc.tree))
 
 
+Q3 = hypercube(3)
+PROFILES = {
+    "certify": lambda: certify(Q3).cut_profile,
+    "certify_tree": lambda: certify_tree(Q3.tree).cut_profile,
+    "evaluate_arrangement": lambda: evaluate_arrangement(
+        Q3.graph, bc_arrangement(Q3.tree)
+    ).cut_profile,
+    "cut_profile": lambda: cut_profile(Q3.graph, bc_arrangement(Q3.tree)),
+}
+
+
+@pytest.mark.parametrize("route", PROFILES)
+def test_profile_is_a_read_only_int64_array(route):
+    profile = PROFILES[route]()
+    assert isinstance(profile, np.ndarray)
+    assert profile.dtype == np.int64
+    assert profile.tolist() == [3, 4, 5, 4, 5, 4, 3]
+    with pytest.raises(ValueError, match="read-only"):
+        profile[0] = 0
+
+
+def test_report_equality_compares_every_field_and_cut():
+    report = certify(Q3)
+    assert report == LayoutReport(28, 28, 28, np.array([3, 4, 5, 4, 5, 4, 3]), True)
+    cuts = report.cut_profile.copy()
+    cuts[3] += 1
+    assert report != LayoutReport(28, 28, 28, cuts, True)
+    assert report != LayoutReport(28, 28, None, report.cut_profile, True)
+    assert report != LayoutReport(28, 28, 28, report.cut_profile[:-1], True)
+    assert report != (28, 28, 28, report.cut_profile, True)
+
+
 @pytest.mark.parametrize("n", (15, 16))
 def test_every_prefix_of_the_tree_arrangement_is_optimal(n):
     # the cut profile meets the per-size boundary minimum entrywise
     for bc in (hypercube(n), mobius(n, 1)):
-        counts = cut_profile(bc.graph, bc_arrangement(bc.tree)).counts
+        counts = cut_profile(bc.graph, bc_arrangement(bc.tree)).tolist()
         assert all(
             counts[m - 1] == edge_boundary(n, m) for m in range(1, 1 << n)
         )

@@ -88,20 +88,6 @@ def test_budget_exhaustion_returns_incumbent():
     assert result.cost == arrangement_cost(g, LinearArrangement.identity(14))
 
 
-def test_explicit_incumbent_is_respected():
-    g = path_graph(6)
-    # a deliberately poor incumbent must still yield the optimum
-    bad = LinearArrangement([1, 6, 2, 5, 3, 4])
-    result = minla_exact(g, "branch-and-bound", incumbent=bad)
-    assert result.cost == 5
-    assert result.proven
-
-
-def test_incumbent_size_checked():
-    with pytest.raises(ValueError):
-        minla_exact(path_graph(4), "exhaustive", incumbent=LinearArrangement([1, 2]))
-
-
 def test_search_is_deterministic():
     g = random_graph(8, 33)
     a = minla_exact(g, "branch-and-bound")
