@@ -307,22 +307,27 @@ def validate(bc: BcGraph) -> ValidationReport:
         )
     # with these sizes the tree's levels fill exactly the canonical edge rows
     sized = not violations
-    degrees = bc.graph.degrees()
-    bad = np.flatnonzero(degrees != n)
-    if bad.size:
-        sample = ", ".join(
-            f"vertex {int(v)} has degree {int(degrees[v])}" for v in bad[:8]
-        )
-        more = "" if bad.size <= 8 else f" (and {bad.size - 8} more)"
-        violations.append(f"not {n}-regular: {sample}{more}")
+    differ = None
     edges = bc.graph.edge_array
     for d, rows, u, v in _canonical_levels(bc.tree) if sized else ():
         wrong = ((edges[rows, 0] != u) | (edges[rows, 1] != v)).any(axis=1)
         if wrong.any():
             b = int(np.argmax(wrong))
-            violations.append(
+            differ = (
                 "graph edges differ from those generated by the construction tree: "
                 f"level {d}, block {b} (vertices {b << d}..{(b + 1 << d) - 1})"
             )
             break
+    # when every level matches, the graph is the tree's graph: n-regular
+    if not sized or differ is not None:
+        degrees = bc.graph.degrees()
+        bad = np.flatnonzero(degrees != n)
+        if bad.size:
+            sample = ", ".join(
+                f"vertex {int(v)} has degree {int(degrees[v])}" for v in bad[:8]
+            )
+            more = "" if bad.size <= 8 else f" (and {bad.size - 8} more)"
+            violations.append(f"not {n}-regular: {sample}{more}")
+    if differ is not None:
+        violations.append(differ)
     return ValidationReport(not violations, tuple(violations))

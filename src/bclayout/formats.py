@@ -7,11 +7,23 @@ Graph JSON schema: an object with `dimension` (integer), `edges` (array of
 M lines `u v`; arrangement files hold one `vertex_id position` line per
 vertex. All integers are written in exact decimal, never scientific
 notation, so values survive round trips at any magnitude.
+
+Every block of integers (edge rows, arrangement lines, phi rows, cut counts)
+is written by one numpy writer, `_format_rows`, a block of `_BLOCK` values
+at a time. The block becomes a grid of little-endian uint32 words, one row of
+the grid per row of text. A value takes one word per group of four digits
+(plus one for a minus sign when the block holds a negative value), looked
+up in a table of 2 * 10**4 + 1 words: the groups 0000..9999 zero-padded for
+inner groups, then 0..9999 NUL-padded for a value's leading group, then an
+empty word for the groups above it. The literals around the values
+(`[`, `,`, `],`, `"phi":[`, a newline) are NUL-padded words in the same
+grid. `bytes.translate` deletes the NULs and the rest is the ASCII text.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -92,7 +104,12 @@ _INT = r"(?:0|[1-9][0-9]{0,17})"
 _EDGES = re.compile(rf'"edges":(\[(?:\[{_INT},{_INT}\](?:,\[{_INT},{_INT}\])*+)?\])')
 _PHI = re.compile(rf'"phi":\[({_INT}(?:,{_INT})*+)\]')
 _NO_BRACKETS = str.maketrans("", "", "[]")
-_BLOCK = 1 << 12  # edge rows, arrangement lines, tree leaves or cut counts per write
+# integers per write: cut counts, or the values of edge rows, arrangement
+# lines or a level of a subtree's phi rows (at most this many leaves); at up
+# to 8 digits a value, a block's word grid stays below 64 KB, well under
+# glibc's 128 KB mmap threshold
+_BLOCK = 1 << 12
+_GROUP = 10_000  # the writer writes a value four digits to a word
 _REPORT_CUTS = 32  # cut counts a human-readable report shows
 
 
@@ -100,7 +117,7 @@ def dump_graph_json(doc: GraphDocument, fp: IO[str]) -> None:
     if doc.dimension is None:
         raise ValueError("graph JSON requires a dimension")
     fp.write(f'{{"dimension":{json.dumps(doc.dimension)},"edges":[')
-    _write_rows(fp, doc.graph.edge_array, "[%d,%d]", ",")
+    _write_rows(fp, doc.graph.edge_array, "[", ",", "],", "]")
     fp.write("]")
     if doc.tree is not None:
         fp.write(',"tree":')
@@ -108,12 +125,80 @@ def dump_graph_json(doc: GraphDocument, fp: IO[str]) -> None:
     fp.write("}\n")
 
 
-def _write_rows(fp: IO[str], rows: np.ndarray, fmt: str, sep: str) -> None:
-    """Write each row of an int array by `fmt`, joined by `sep`, a block of
-    rows at a time by one format: no list per row and no string of it all."""
-    for lo in range(0, len(rows), _BLOCK):
-        block = rows[lo : lo + _BLOCK]
-        fp.write((sep if lo else "") + sep.join([fmt] * len(block)) % tuple(block.ravel().tolist()))
+def _write_rows(fp: IO[str], rows: np.ndarray, head: str, sep: str, end: str, last: str) -> None:
+    """Write an int array a block of _BLOCK values at a time (a 1-d array as
+    one value per row): each row is `head`, its values joined by `sep`, then
+    `end`, except the final row, which ends with `last`. No string of it all."""
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    step = max(1, _BLOCK // rows.shape[1])
+    for lo in range(0, len(rows), step):
+        final = lo + step >= len(rows)
+        fp.write(_format_rows(rows[lo : lo + step], head, sep, end, last if final else end))
+
+
+@functools.cache
+def _digit_words() -> np.ndarray:
+    """The writer's table, built on its first use (no temporary reaches
+    128 KB): the words of 0000..9999 zero-padded, of 0..9999 with no leading
+    zeros and NUL-padded, and an empty word. A word holds its text's first
+    byte in its low byte."""
+    d = np.arange(_GROUP, dtype=np.uint16)
+    chars = np.empty((_GROUP, 4), dtype=np.uint8)
+    for i, unit in enumerate((1000, 100, 10, 1)):
+        chars[:, i] = d // unit % 10 + ord("0")
+    padded = chars.view("<u4").ravel()
+    width = 1 + (d >= 10) + (d >= 100) + (d >= 1000)  # "0" is one digit
+    table = np.zeros(2 * _GROUP + 1, dtype="<u4")
+    table[:_GROUP] = padded
+    table[_GROUP : 2 * _GROUP] = padded >> (8 * (4 - width))  # drop the leading zeros
+    return table
+
+
+def _words(text: str, size: int) -> np.ndarray:
+    """An ASCII literal as `size` NUL-padded words."""
+    return np.frombuffer(text.encode("ascii").ljust(4 * size, b"\0"), dtype="<u4")
+
+
+def _format_rows(block: np.ndarray, head: str, sep: str, end: str, last: str) -> str:
+    """The text of a 2-d int array, each row `head`, its values in decimal
+    joined by `sep`, then `end`; the block's last row ends with `last`.
+
+    A value of g groups fills g words of its cell, lowest group last: group
+    r with the groups above it summing to q reads word r of the zero-padded
+    half, or of the NUL-padded half when q == 0, and the empty word when the
+    value is below this group (q == r == 0, not the lowest group)."""
+    rows, k = block.shape
+    if block.size == 0:
+        return ""
+    low, high = int(block.min()), int(block.max())
+    top, signed = max(high, -low), low < 0
+    values = block.astype(np.uint32 if top >> 32 == 0 else np.uint64)
+    if signed:  # magnitudes; uint64 negation is exact down to -2**63
+        negative = block < 0
+        np.negative(values, out=values, where=negative)
+    groups = signed + (len(str(top)) + 3) // 4
+    lit = (max(len(sep), len(end), len(last)) + 3) // 4  # words after each value
+    head_w = _words(head, (len(head) + 3) // 4)
+    grid = np.zeros((rows, len(head_w) + k * (groups + lit)), dtype="<u4")
+    grid[:, : len(head_w)] = head_w
+    cells = grid[:, len(head_w) :].reshape(rows, k, groups + lit)
+    cells[:, :-1, groups:] = _words(sep, lit)
+    cells[:, -1, groups:] = _words(end, lit)
+    cells[-1, -1, groups:] = _words(last, lit)
+    table, scale = _digit_words(), values.dtype.type(_GROUP)
+    above = None  # where the groups above the previous one sum to 0
+    for g in range(groups - 1, signed - 1, -1):
+        values, index = np.divmod(values, scale)
+        leading = values == 0
+        index += leading * scale
+        if above is not None:
+            index += above * scale
+        cells[..., g] = table[index]
+        above = leading
+    if signed:
+        cells[..., 0] = np.where(negative, ord("-"), 0)
+    return grid.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _dump_tree(levels, d: int, b: int, fp: IO[str]) -> None:
@@ -126,7 +211,9 @@ def _dump_tree(levels, d: int, b: int, fp: IO[str]) -> None:
         _dump_tree(levels, d - 1, 2 * b, fp)
         fp.write(',"right":')
         _dump_tree(levels, d - 1, 2 * b + 1, fp)
-        fp.write(',"phi":[%s]}' % ",".join(map(str, phis[which[b]].tolist())))
+        fp.write(',"phi":[')
+        _write_rows(fp, phis[which[b]], "", "", ",", "")
+        fp.write("]}")
         return
     pieces, order = _tree_layout(d)
     rows = np.empty(len(order), dtype=object)
@@ -135,9 +222,7 @@ def _dump_tree(levels, d: int, b: int, fp: IO[str]) -> None:
         phis, which = levels[e - 2]
         count = 1 << (d - e)
         block = phis[which[b * count : (b + 1) * count]]
-        fmt = '"phi":[' + ",".join(["%d"] * block.shape[1]) + "]"
-        text = "\n".join([fmt] * count) % tuple(block.ravel().tolist())
-        rows[order[at : at + count]] = text.split("\n")
+        rows[order[at : at + count]] = _format_rows(block, '"phi":[', ",", "]\n", "]").split("\n")
         at += count
     parts = [""] * (2 * len(pieces) - 1)
     parts[::2], parts[1::2] = pieces, rows.tolist()
@@ -256,7 +341,7 @@ def _graph_document(data, edge_array=None, tree_rows=None) -> GraphDocument:
 
 def dump_edge_list(graph: Graph, fp: IO[str]) -> None:
     fp.write(f"{graph.vertex_count} {graph.edge_count}\n")
-    _write_rows(fp, graph.edge_array, "%d %d\n", "")
+    _write_rows(fp, graph.edge_array, "", " ", "\n", "\n")
 
 
 def load_edge_list(fp: Iterable[str]) -> Graph:
@@ -281,10 +366,11 @@ def load_edge_list(fp: Iterable[str]) -> Graph:
 
 def dump_arrangement(arrangement: LinearArrangement, fp: IO[str]) -> None:
     positions = arrangement.positions
-    for lo in range(0, len(positions), _BLOCK):
-        block = positions[lo : lo + _BLOCK].tolist()
-        lines = chain.from_iterable(zip(range(lo, lo + len(block)), block))
-        fp.write("".join(["%d %d\n"] * len(block)) % tuple(lines))
+    step = _BLOCK // 2  # two values a line
+    for lo in range(0, len(positions), step):
+        block = positions[lo : lo + step]
+        lines = np.column_stack((np.arange(lo, lo + len(block)), block))
+        fp.write(_format_rows(lines, "", " ", "\n", "\n"))
 
 
 def load_arrangement(fp: IO[str]) -> LinearArrangement:
@@ -326,7 +412,7 @@ def dump_report_json(report: LayoutReport, fp: IO[str]) -> None:
         "closed_form": report.closed_form,
         "optimal": report.optimal,
     })[:-1] + ', "cuts": [')
-    _write_rows(fp, report.cut_profile, "%d", ", ")
+    _write_rows(fp, report.cut_profile, "", "", ", ", "")
     fp.write("]}\n")
 
 

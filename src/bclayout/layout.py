@@ -359,15 +359,22 @@ def certify_tree(tree: ConstructionTree) -> LayoutReport:
 
     theta doubles: with h = 2**(d-1), theta_d[m] = theta_(d-1)[m] + m for
     m <= h, and theta_(d-1)[m - h] + 2**d - m for m >= h, which mirrors the
-    first half, as theta_(d-1) is symmetric. Every row is checked to be a
-    permutation when a tree is made, so only the dimension is checked here.
+    first half, as theta_(d-1) is symmetric. The ramp 1..h is kept in the
+    slots the mirror fills next, so no array but theta is allocated. Every
+    row is checked to be a permutation when a tree is made, so only the
+    dimension is checked here.
     """
     n = tree.dimension
     _check_cap(n, MAX_DIMENSION_CAP)
     theta = np.zeros((1 << n) + 1, dtype=np.int64)  # theta[m] for m = 0..2**n
+    theta[2] = 1  # level 1's ramp
     for d in range(1, n + 1):
         h = 1 << (d - 1)
-        theta[: h + 1] += np.arange(h + 1)
+        ramp = theta[h + 1 : 2 * h + 1]  # 1..h, where the mirror goes next
+        theta[1 : h + 1] += ramp
+        if d < n:  # the next level's ramp 1..2h, past this level's end
+            theta[2 * h + 1 : 3 * h + 1] = ramp
+            np.add(ramp, h, out=theta[3 * h + 1 : 4 * h + 1])
         theta[h + 1 : 2 * h + 1] = theta[h - 1 :: -1]
     cost = sum((1 << (n - d)) * 4 ** (d - 1) for d in range(1, n + 1))
     profile = theta[1:-1]

@@ -1,6 +1,7 @@
 """Hypothesis strategies for fuzzing file readers: the text of a valid file
 with a few characters inserted, deleted or replaced."""
 
+from hypothesis import settings
 from hypothesis import strategies as st
 
 # digits, which keep most files well formed, characters that change the
@@ -27,3 +28,9 @@ def mutated(draw, text, max_edits=3):
             else:
                 chars[i] = draw(CHARACTERS)
     return "".join(chars)
+
+
+def examples(count):
+    """A fuzz test's example count: `count` under the suite's profile of 100
+    examples, scaled with the loaded profile's (twenty times under `long`)."""
+    return count * settings().max_examples // 100

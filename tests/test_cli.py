@@ -17,7 +17,7 @@ from bclayout import cli, core, families, formats, layout
 from bclayout.cli import run
 from bclayout.formats import load_graph_json
 
-from mutations import mutated
+from mutations import examples, mutated
 
 
 def invoke(*argv):
@@ -511,7 +511,7 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=100)
+@settings(max_examples=examples(100))
 @given(files=mutated_files())
 def test_mutated_files_exit_with_a_documented_code(fuzz_dir, files):
     """arrange, eval and certify -i on mutated graph JSON, edge-list and
@@ -537,7 +537,7 @@ def mutated_edge_lists(draw):
     return draw(mutated(valid_files(kind, draw(st.integers(1, 3)), seed)[1]))
 
 
-@settings(max_examples=60)
+@settings(max_examples=examples(60))
 @given(text=mutated_edge_lists())
 def test_solve_on_mutated_edge_lists_exits_with_a_documented_code(fuzz_dir, text):
     """solve -i on a mutated edge list of at most 8 vertices (a mutated
@@ -563,7 +563,7 @@ def mutated_table_argvs(draw):
     return ["table", "-n", draw(mutated(n, 2)), option, draw(mutated(value, 2))]
 
 
-@settings(max_examples=100)
+@settings(max_examples=examples(100))
 @given(argv=mutated_table_argvs())
 def test_table_on_mutated_values_exits_with_a_documented_code(argv):
     status, _, err = invoke(*argv)

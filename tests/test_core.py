@@ -422,6 +422,25 @@ def test_validate_names_the_highest_level_that_differs(monkeypatch):
     assert validate(bc).ok
 
 
+def test_validate_counts_no_degrees_when_every_level_matches(monkeypatch):
+    # a graph whose levels all match the tree's is its graph: n-regular
+    bc = random_bc(6, 11)
+    monkeypatch.setattr(Graph, "degrees", None)
+    assert validate(bc) == core.ValidationReport(True, ())
+
+
+def test_validate_reports_degrees_before_the_level_that_differs():
+    # edge 0-1 becomes 0-6: the sizes hold, the degrees and the levels do not
+    bc = hypercube(3)
+    edges = [(0, 6) if e == (0, 1) else e for e in bc.graph.iter_edges()]
+    report = validate(BcGraph(3, Graph(8, edges), bc.tree))
+    assert report.violations == (
+        "not 3-regular: vertex 1 has degree 2, vertex 6 has degree 4",
+        "graph edges differ from those generated by the construction tree: "
+        "level 3, block 0 (vertices 0..7)",
+    )
+
+
 def test_validate_reports_dimension_mismatch():
     bc = hypercube(3)
     report = validate(BcGraph(4, bc.graph, bc.tree))

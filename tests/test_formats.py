@@ -19,6 +19,7 @@ from bclayout import (
     LinearArrangement,
     Node,
     build_family,
+    build_tree,
     edge_boundary,
     hypercube,
     locally_twisted,
@@ -46,7 +47,7 @@ from bclayout.formats import (
 from bclayout import cli, formats
 from bclayout.layout import LayoutReport, certify
 
-from mutations import mutated
+from mutations import examples, mutated
 
 
 def round_trip_json(doc):
@@ -216,6 +217,137 @@ def test_report_json_equals_one_json_dumps(size):
     assert buf.getvalue() == json.dumps({**data, "cuts": counts}) + "\n"
 
 
+# --- the decimal writer against %d ---------------------------------------
+
+INT64 = np.iinfo(np.int64)
+# each side of a 4-digit group, of a word and of exact float64 integers
+BOUNDARIES = [0, 9, 10, 9999, 10**4, 10**8 - 1, 10**8, 2**53]
+VALUES = [*BOUNDARIES, *(-v for v in BOUNDARIES[1:]), INT64.min, INT64.max]
+B = formats._BLOCK  # values a block: half as many rows of two
+SIZES = [0, 1, B // 2 - 1, B // 2, B // 2 + 1, B - 1, B, B + 1, 2 * B + 3]
+
+
+def cycled(values, size):
+    return list(itertools.islice(itertools.cycle(values), size))
+
+
+def rows_text(rows, head, sep, end, last):
+    """The text `_write_rows` gives, row by row by %d."""
+    lines = [head + sep.join("%d" % v for v in row) for row in rows]
+    return "".join(line + end for line in lines[:-1]) + "".join(line + last for line in lines[-1:])
+
+
+def written(rows, *literals):
+    buf = io.StringIO()
+    formats._write_rows(buf, rows, *literals)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("value", VALUES)
+def test_writer_writes_a_value_as_percent_d(value):
+    for dtype in (np.int64, np.int32):
+        if np.iinfo(dtype).min <= value <= np.iinfo(dtype).max:
+            assert written(np.array([value, 7], dtype=dtype), "", "", ", ", "") == "%d, 7" % value
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_writer_streams_blocks_of_rows(size):
+    flat = np.array(cycled(VALUES, size), dtype=np.int64)
+    assert written(flat, "", "", ",", "") == ",".join("%d" % v for v in flat.tolist())
+    rows = np.array(cycled(VALUES, 2 * size), dtype=np.int64).reshape(size, 2)
+    literals = ('"phi":[', ",", "]\n", "]")
+    assert written(rows, *literals) == rows_text(rows.tolist(), *literals)
+
+
+LITERALS = st.sampled_from(["", " ", ",", ", ", "[", "]", "],", "]\n", "\n", '"phi":[', '{"x":[['])
+INTEGERS = st.one_of(st.sampled_from(VALUES), st.integers(-(10**9), 10**9), st.integers(INT64.min, INT64.max))
+
+
+@settings(max_examples=examples(200))
+@given(
+    st.integers(1, 5).flatmap(
+        lambda k: st.tuples(st.just(k), st.lists(st.lists(INTEGERS, min_size=k, max_size=k), max_size=12))
+    ),
+    st.tuples(LITERALS, LITERALS, LITERALS, LITERALS),
+    st.booleans(),
+)
+def test_writer_equals_percent_d(shape, literals, narrow):
+    """Any block of int64 (or int32) rows with any literals, the text %d
+    gives, one block or many."""
+    k, rows = shape
+    block = np.array(rows, dtype=np.int64).reshape(len(rows), k)
+    if narrow:
+        block = block.astype(np.int32)  # wraps, as a tree's phi entries never do
+    text = rows_text(block.tolist(), *literals)
+    assert formats._format_rows(block, *literals) == text
+    assert written(block, *literals) == text
+
+
+@settings(max_examples=examples(100))
+@given(st.lists(INTEGERS, max_size=40))
+def test_report_json_of_any_counts_equals_json_dumps(counts):
+    """A user-built report may hold any int64 counts, negative ones too."""
+    report = LayoutReport(-1, 2**70, 0, np.array(counts, dtype=np.int64), True)
+    buf = io.StringIO()
+    dump_report_json(report, buf)
+    data = {"cost": -1, "lower_bound": 2**70, "closed_form": 0, "optimal": True}
+    assert buf.getvalue() == json.dumps({**data, "cuts": counts}) + "\n"
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_report_json_of_large_counts_equals_json_dumps(size):
+    counts = cycled(VALUES, size)
+    report = LayoutReport(5, 3, None, np.array(counts, dtype=np.int64), False)
+    buf = io.StringIO()
+    dump_report_json(report, buf)
+    data = {"cost": 5, "lower_bound": 3, "closed_form": None, "optimal": False}
+    assert buf.getvalue() == json.dumps({**data, "cuts": counts}) + "\n"
+
+
+# distinct endpoints at every boundary and up to the largest vertex id
+ENDPOINTS = sorted({*range(120), *(v for v in BOUNDARIES), *(10**k + 1 for k in range(18)), INT64.max - 1})
+
+
+@pytest.mark.parametrize("m", SIZES)
+def test_edges_of_large_ids_are_written_as_json_and_percent_d(m):
+    g = Graph(INT64.max, list(itertools.islice(itertools.combinations(ENDPOINTS, 2), m)))
+    rows = g.edge_array.tolist()
+    buf = io.StringIO()
+    dump_graph_json(GraphDocument(g, 3), buf)
+    assert buf.getvalue() == json.dumps({"dimension": 3, "edges": rows}, separators=(",", ":")) + "\n"
+    buf = io.StringIO()
+    dump_edge_list(g, buf)
+    assert buf.getvalue() == f"{INT64.max} {m}\n" + "".join("%d %d\n" % (u, v) for u, v in rows)
+
+
+@pytest.mark.parametrize("size", [1, 4096, 4097, 10**4 + 1])
+def test_arrangement_lines_are_percent_d(size):
+    positions = (np.random.default_rng(size).permutation(size) + 1).tolist()
+    buf = io.StringIO()
+    dump_arrangement(LinearArrangement(positions), buf)
+    assert buf.getvalue() == "".join("%d %d\n" % line for line in enumerate(positions))
+
+
+def nested_tree(tree, d, b=0):
+    """Block b of level d as the nested objects json.dumps writes."""
+    if d == 1:
+        return {"leaf": True}
+    phis, which = tree.levels[d - 2]
+    left, right = nested_tree(tree, d - 1, 2 * b), nested_tree(tree, d - 1, 2 * b + 1)
+    return {"left": left, "right": right, "phi": phis[which[b]].tolist()}
+
+
+@pytest.mark.parametrize("n", [1, 2, 13, 14, 15])
+def test_tree_phi_rows_are_written_as_json_dumps(n):
+    """Below 2**12 leaves a subtree is one string, above it each node's phi
+    row streams on its own; at n = 15 the entries pass 10**4."""
+    tree = build_tree(FamilySpec("random", n, 3))
+    buf = io.StringIO()
+    dump_graph_json(GraphDocument(Graph(1 << n), n, tree), buf)
+    nested = json.dumps(nested_tree(tree, n), separators=(",", ":"))
+    assert buf.getvalue() == f'{{"dimension":{n},"edges":[],"tree":{nested}}}\n'
+
+
 @pytest.mark.parametrize("size", [0, 1, 32, 33, 1 << 20])
 def test_human_report_shows_the_first_and_last_sixteen_cuts(size):
     counts = list(range(0, 3 * size, 3))  # distinct, so a window that moves shows
@@ -295,7 +427,7 @@ def assert_reads_like_json_loads(text):
     return got
 
 
-@settings(max_examples=250)
+@settings(max_examples=examples(250))
 @given(graph_json_texts())
 def test_graph_json_reads_like_json_loads(text):
     assert_reads_like_json_loads(text)

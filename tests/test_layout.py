@@ -1,5 +1,7 @@
 """Arrangement evaluation, bounds, cross-matching cost, and certification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -249,6 +251,21 @@ def test_certify_tree_reads_no_level_rows():
             raise AssertionError("certify_tree read the tree's level rows")
 
     assert certify_tree(UnreadableTree()) == certify(hypercube(10))
+
+
+def test_certify_tree_allocates_only_the_profile():
+    """tracemalloc peak of certify_tree at n = 20: the 2**20 + 1 int64 θ
+    array and a few small objects. A ramp array per level adds 4 MB."""
+    tree = build_tree(FamilySpec("hypercube", 20))
+    tracemalloc.start()
+    try:
+        report = certify_tree(tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    theta = ((1 << 20) + 1) * 8
+    assert theta <= peak < theta + (64 << 10)
+    assert report.cut_profile[(1 << 19) - 1] == 1 << 19
 
 
 def test_certify_checks_the_vertex_count():
