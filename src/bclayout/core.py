@@ -16,8 +16,18 @@ Canonical order for free: the tree node of dimension d above vertex u adds
 one edge at u, and that edge leads above u exactly when bit d-1 of u is 0.
 Those upper neighbours rise with d, because the level-d neighbour lies in
 u's dimension-d block and every larger level's neighbour lies past it. So u
-has n - popcount(u) upper neighbours, and `materialize` writes each level's
-matching straight into the rows that sorting by (u, v) would give it.
+has n - popcount(u) upper neighbours, and its level-d row, if any, is its
+first row plus the number of zero bits of u below bit d-1.
+
+So the rows of 2**_WINDOW consecutive vertices (aligned) are one contiguous
+slice of the edge array, made a window at a time (`_canonical_windows`):
+column 0 repeats each vertex u n - popcount(u) times, and column 1 is
+scattered into the slice, every level-d block inside the window for
+d <= _WINDOW, and for a larger d the window's slice of its block's phi row
+when the window lies in the block's lower half. `materialize` writes the
+windows into the edge array, and `validate` compares the graph's rows with
+them window by window; a row (u, v) of level d has u ^ v below 2**d and at
+least 2**(d-1), so a differing row names its level and block.
 """
 
 from __future__ import annotations
@@ -33,6 +43,8 @@ DEFAULT_DIMENSION_CAP = 25
 # Hard ceiling on the configurable cap: with n <= 26 every edge-span sum is
 # below n * 2**(n-1) * 2**n < 2**58, so int64 accumulation stays exact.
 MAX_DIMENSION_CAP = 26
+# `materialize` and `validate` make the edge rows 2**_WINDOW vertices at a time
+_WINDOW = 12
 
 
 class DimensionCapError(ValueError):
@@ -111,6 +123,16 @@ class Graph:
         arr.setflags(write=False)
         self.vertex_count = vertex_count
         self._edges = arr
+
+    @classmethod
+    def _adopt(cls, vertex_count: int, edges: np.ndarray) -> Graph:
+        """A graph holding `edges`, frozen, with none of __init__'s checks:
+        for an edge array that is canonical by construction."""
+        graph = object.__new__(cls)
+        edges.setflags(write=False)
+        graph.vertex_count = vertex_count
+        graph._edges = edges
+        return graph
 
     @property
     def edge_count(self) -> int:
@@ -231,50 +253,68 @@ class BcGraph:
     tree: ConstructionTree
 
 
-def level_rows(tree: ConstructionTree) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (d, u, v) for the levels d = n..1 of a construction tree: the
-    level-d matching edges as two (blocks, 2**(d-1)) int64 arrays, u = base + x
-    and v = base + half + phi[x] in the block at base. A level's rows are
-    read from its phi array through its block index."""
+def _canonical_windows(tree: ConstructionTree) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (first, rows) for the canonical edge rows of a construction
+    tree, a window of 2**_WINDOW vertices at a time: `rows` is the (k, 2)
+    int64 slice first..first + k - 1 of the edge array, in one buffer that
+    the next window overwrites. See the module docstring for the order."""
     n = tree.dimension
-    for d in range(n, 0, -1):
+    w = min(n, _WINDOW)
+    local = np.arange(1 << w)
+    count = np.bitwise_count(local).astype(np.int64)
+    before = np.cumsum(count) - count  # set bits of the window's earlier vertices
+    # level d <= w: the lower-half vertices of the window's blocks, and the
+    # row each takes after its vertex's first row
+    inner = []
+    for d in range(1, w + 1):
         half = 1 << (d - 1)
-        base = (np.arange(1 << (n - d), dtype=np.int64) << d)[:, None]
-        if d > 1:
+        x = np.arange(half)
+        u = ((np.arange(1 << (w - d)) << d)[:, None] + x).ravel()
+        inner.append((d, u, np.tile(d - 1 - np.bitwise_count(x), 1 << (w - d))))
+    buffer = np.empty((n << w, 2), dtype=np.int64)
+    first = 0
+    for start in range(0, 1 << n, 1 << w):
+        upper = n - start.bit_count()  # of the window's first vertex
+        rows = buffer[: (upper << w) - (w << w >> 1)]
+        at = local * upper - before  # each vertex's first row
+        rows[:, 0] = np.repeat(start + local, upper - count)
+        column = rows[:, 1]
+        for d, u, offset in inner:
+            if d == 1:  # a leaf is the edge (0, 1)
+                v = start + u + 1
+            else:
+                phis, which = tree.levels[d - 2]
+                block = (start >> d) + np.arange(1 << (w - d))
+                v = (phis[which[block]] + ((block << d) + (1 << (d - 1)))[:, None]).ravel()
+            column[at[u] + offset] = v
+        for d in range(w + 1, n + 1):
+            half = 1 << (d - 1)
+            if start & half:
+                continue  # the window lies in the upper half of its block
             phis, which = tree.levels[d - 2]
-            v = phis[which] + (base + half)
-        else:  # a leaf is the edge (0, 1): one-vertex halves joined by phi = (0,)
-            v = base + half
-        yield d, base + np.arange(half), v
-
-
-def _canonical_levels(tree: ConstructionTree):
-    """`level_rows` with the canonical edge rows each level fills: u's rows
-    follow the n - popcount(w) upper neighbours of every w < u, its level-d
-    row one per zero bit of u below bit d-1 (see the module docstring)."""
-    n = tree.dimension
-    upper = n - np.bitwise_count(np.arange(1 << n)).astype(np.int64)
-    first = np.cumsum(upper) - upper
-    for d, u, v in level_rows(tree):
-        yield d, first[u] + (d - 1 - np.bitwise_count(np.arange(1 << (d - 1)))), u, v
+            block, x = start >> d, start & (half - 1)
+            v = phis[which[block], x : x + (1 << w)] + ((block << d) + half)
+            column[at - count + (d - 1 - x.bit_count())] = v
+        yield first, rows
+        first += len(rows)
 
 
 def materialize(tree: ConstructionTree) -> Graph:
     """Build the concrete graph described by a construction tree.
 
-    Writes each level's rows into their canonical slots, so Graph finds the
-    rows sorted. Raises DimensionCapError above MAX_DIMENSION_CAP; a smaller
-    cap is the caller's.
+    Writes the canonical rows a window at a time (`_canonical_windows`), so
+    the graph adopts them without Graph's sort and checks: every tree row is
+    a checked permutation, and the module docstring proves the order.
+    Raises DimensionCapError above MAX_DIMENSION_CAP; a smaller cap is the
+    caller's.
     """
     n = tree.dimension
     if n > MAX_DIMENSION_CAP:
         raise DimensionCapError(f"dimension {n} exceeds the ceiling {MAX_DIMENSION_CAP}")
     edges = np.empty((n << (n - 1), 2), dtype=np.int64)
-    for _, rows, u, v in _canonical_levels(tree):
-        edges[rows, 0] = u
-        edges[rows, 1] = v
-    edges.setflags(write=False)  # so Graph adopts it without a copy
-    return Graph(1 << n, edges)
+    for first, rows in _canonical_windows(tree):
+        edges[first : first + len(rows)] = rows
+    return Graph._adopt(1 << n, edges)
 
 
 @dataclass(frozen=True)
@@ -285,8 +325,9 @@ class ValidationReport:
 
 def validate(bc: BcGraph) -> ValidationReport:
     """Check every BcGraph invariant; violations are reported, not raised.
-    The edges are compared with the tree's matchings level by level from the
-    top, and the first level and block that differ are named."""
+    The edges are compared with the tree's canonical rows a window at a
+    time, and the highest level that differs is named with its first
+    differing block."""
     violations: list[str] = []
     n = bc.dimension
     if n < 1:
@@ -305,21 +346,21 @@ def validate(bc: BcGraph) -> ValidationReport:
         violations.append(
             f"graph has {bc.graph.edge_count} edges, expected {expected_edges}"
         )
-    # with these sizes the tree's levels fill exactly the canonical edge rows
+    # with these sizes the tree's levels fill exactly the canonical edge rows;
+    # a canonical row (u, v) is of level d = bit_length(u ^ v), in block u >> d
     sized = not violations
-    differ = None
+    level = block = 0
     edges = bc.graph.edge_array
-    for d, rows, u, v in _canonical_levels(bc.tree) if sized else ():
-        wrong = ((edges[rows, 0] != u) | (edges[rows, 1] != v)).any(axis=1)
-        if wrong.any():
-            b = int(np.argmax(wrong))
-            differ = (
-                "graph edges differ from those generated by the construction tree: "
-                f"level {d}, block {b} (vertices {b << d}..{(b + 1 << d) - 1})"
-            )
-            break
+    for first, rows in _canonical_windows(bc.tree) if sized else ():
+        got = edges[first : first + len(rows)]
+        if not np.array_equal(got, rows):
+            u, v = rows[(got != rows).any(axis=1)].T
+            d = np.frexp(u ^ v)[1]
+            if d.max() > level:
+                level = int(d.max())
+                block = int(u[d == level].min()) >> level
     # when every level matches, the graph is the tree's graph: n-regular
-    if not sized or differ is not None:
+    if not sized or level:
         degrees = bc.graph.degrees()
         bad = np.flatnonzero(degrees != n)
         if bad.size:
@@ -328,6 +369,9 @@ def validate(bc: BcGraph) -> ValidationReport:
             )
             more = "" if bad.size <= 8 else f" (and {bad.size - 8} more)"
             violations.append(f"not {n}-regular: {sample}{more}")
-    if differ is not None:
-        violations.append(differ)
+    if level:
+        violations.append(
+            "graph edges differ from those generated by the construction tree: "
+            f"level {level}, block {block} (vertices {block << level}..{(block + 1 << level) - 1})"
+        )
     return ValidationReport(not violations, tuple(violations))

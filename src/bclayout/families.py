@@ -108,7 +108,9 @@ def build_tree(spec: FamilySpec, *, cap: int = DEFAULT_DIMENSION_CAP) -> Constru
             rows, which[1::2] = [x, x[::-1]], 1
         else:
             rows = [x[::-1] if spec.kind == "mobius-1" else x]
-        levels.append((np.array(rows), which))
+        rows = np.array(rows)
+        rows.setflags(write=False)  # so check_permutation adopts it uncopied
+        levels.append((rows, which))
     return ConstructionTree(n, tuple(levels))
 
 

@@ -33,6 +33,8 @@ from .rng import SplitMix64
 
 EXHAUSTIVE_VERTEX_LIMIT = 8
 BRANCH_AND_BOUND_VERTEX_LIMIT = 16
+# `_accumulate` counts the edge rows in blocks of at least this many
+_ACCUMULATE_ROWS = 1 << 18
 
 
 class SolverLimitError(ValueError):
@@ -167,9 +169,14 @@ def _accumulate(size: int, lo, hi) -> tuple[int, np.ndarray]:
     """Total span and cut profile of the slot pairs lo <= hi in 0..size-1:
     an edge spans hi - lo, and cut c (after slot c) counts the edges with
     lo <= c < hi, a running sum of the starts lo minus the stops hi. int64
-    is exact here: every span < N and M*N stays far below 2**63."""
-    delta = np.bincount(lo, minlength=size)
-    delta -= np.bincount(hi, minlength=size)
+    is exact here: every span < N and M*N stays far below 2**63. The pairs
+    are counted a block of rows at a time, as bincount copies a strided
+    column whole; a block is at least N rows, so the counts cost no more."""
+    delta = np.zeros(size, dtype=np.int64)
+    step = max(_ACCUMULATE_ROWS, size)
+    for start in range(0, len(lo), step):
+        delta += np.bincount(lo[start : start + step], minlength=size)
+        delta -= np.bincount(hi[start : start + step], minlength=size)
     profile = np.cumsum(delta)[: size - 1]
     profile.setflags(write=False)
     return int(hi.sum()) - int(lo.sum()), profile

@@ -10,6 +10,21 @@ Draw k of a stream (the first is k = 1) mixes the state seed + k*gamma mod
 2**64, so any set of draws can also be made at once in numpy uint64
 (`bounded_draws`, applied by `shuffle_rows`); a draw the scalar path would
 reject is reported, since the scalar stream then skips ahead.
+
+With its draws fixed, the descending shuffle has only logarithmic dependence
+depth (Shun, Gu, Blelloch, Fineman and Gibbons, SODA 2015), so a few long
+rows are replayed at once instead of swapped one index at a time. Step i
+swaps positions i and j_i <= i, and no later step touches position i, so
+the final value at i is what position j_i held just before step i; step 0
+is a self-step that leaves position 0 its last value. A position p holds p
+until a step targets it, and from then on what the latest such step wrote:
+the value its own position held just before that step. So p's value just
+before its own step comes from the smallest later step that targets p, a
+chain of rising steps that pointer jumping resolves in logarithmically many
+rounds; and a step receives what the previous writer of its target wrote
+(the next larger step of the same target), or the target itself if no step
+wrote it before. One sort of the steps by (target, step) pairs each step
+with that writer.
 """
 
 from __future__ import annotations
@@ -24,10 +39,8 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 # shuffle_rows shuffles at least this many permutations one index at a time
-# across all of them in numpy, and fewer, larger ones in a list loop each,
-# converting this many draws at a time to Python ints.
+# across all of them, and fewer, larger ones by replaying their draws at once.
 _BATCH_ROWS = 64
-_CHUNK = 4096
 
 
 def check_seed(seed) -> int:
@@ -115,20 +128,63 @@ def shuffle_rows(draws: np.ndarray) -> np.ndarray:
     read-only (count, size) int32 array."""
     count, steps = draws.shape
     size = steps + 1
-    perms = np.tile(np.arange(size, dtype=np.int32), (count, 1))
-    if count >= _BATCH_ROWS:
+    if count < _BATCH_ROWS:
+        perms = _replay(draws)
+    else:
+        perms = np.tile(np.arange(size, dtype=np.int32), (count, 1))
         draws = draws.astype(np.intp)
         rows = np.arange(count)
         for t in range(steps):
             i, j = size - 1 - t, draws[:, t]
             perms[rows, i], perms[rows, j] = perms[rows, j], perms[rows, i]
-    else:
-        for row, perm in zip(draws, perms):
-            items = list(range(size))
-            for start in range(0, steps, _CHUNK):
-                chunk = row[start : start + _CHUNK].tolist()
-                for i, j in zip(range(size - 1 - start, 0, -1), chunk):
-                    items[i], items[j] = items[j], items[i]
-            perm[:] = items
     perms.setflags(write=False)
+    return perms
+
+
+def _replay(draws: np.ndarray) -> np.ndarray:
+    """`shuffle_rows` of every row at once, by pointer jumping (see the
+    module docstring). Positions and steps are numbered row * size + i
+    across the rows, and step 0 of each row is a self-step."""
+    count, steps = draws.shape
+    size = steps + 1
+    total = count * size
+    # the key target * total + step groups the steps by target, each group
+    # in increasing step order; it is the only int64 array
+    offset = np.arange(0, total, size)[:, None]
+    key = np.zeros((count, size), dtype=np.int64)
+    key[:, :0:-1] = draws
+    key += offset
+    key *= total
+    key += offset
+    key += np.arange(size)
+    key = key.ravel()
+    key.sort()
+    target = np.empty(total, dtype=np.int32)
+    step = np.empty(total, dtype=np.int32)
+    np.floor_divide(key, total, out=target, casting="unsafe")
+    np.remainder(key, total, out=step, casting="unsafe")
+    del key
+    same = target[1:] == target[:-1]  # entry k + 1 wrote entry k's target before it
+    # nxt[p]: the smallest later step targeting position p, or p if none;
+    # a group's head is its first step above the target (a self-step is first)
+    later = step > target
+    head = later.copy()
+    head[1:] &= ~(same & later[:-1])
+    nxt = np.arange(total, dtype=np.int32)
+    nxt[target[head]] = step[head]
+    del later, head
+    jumped = np.empty_like(nxt)
+    while True:
+        np.take(nxt, nxt, out=jumped)
+        if np.array_equal(jumped, nxt):
+            break
+        nxt, jumped = jumped, nxt
+    # nxt[p] is now p's value just before step p; a step receives that of
+    # the previous writer of its target, or the target's own value
+    received = target
+    received[:-1][same] = nxt[step[1:][same]]
+    perms = jumped
+    perms[step] = received
+    perms = perms.reshape(count, size)
+    perms -= offset.astype(np.int32)
     return perms

@@ -1,5 +1,7 @@
 """Graph values, construction trees, composition, and validation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from bclayout import (
 )
 from bclayout import core
 from bclayout.core import check_permutation
-from reference import LEAF, build, recursive_edges
+from reference import LEAF, build, recursive_edges, scalar_tree
 
 
 def bitflip_edges(n):
@@ -290,6 +292,36 @@ def test_certify_tree_matches_the_materialized_graph(tree):
     assert report == evaluate_arrangement(bc.graph, bc_arrangement(tree), witness=bc)
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_materialize_writes_small_windows(monkeypatch, n):
+    # windows of 4 vertices: levels above 2 each fill one phi slice a window
+    monkeypatch.setattr(core, "_WINDOW", 2)
+    nested = scalar_tree(n, n)
+    g = materialize(build(nested))
+    assert g == Graph(1 << n, recursive_edges(nested))
+    assert not g.edge_array.flags.writeable
+
+
+def test_materialize_and_certify_allocate_little_beyond_the_edges():
+    """tracemalloc peaks at n = 16 (8 MB of edges): materialize holds one
+    window of rows beside the edge array, and certify counts the edge rows a
+    block at a time instead of copying a strided column whole."""
+    tree = random_bc(16, 7).tree
+    window = (16 << core._WINDOW) * 16  # bytes of a window's rows
+    tracemalloc.start()
+    try:
+        graph = materialize(tree)
+        edges = graph.edge_array.nbytes
+        assert tracemalloc.get_traced_memory()[1] < edges + 2 * window
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        report = certify(BcGraph(16, graph, tree))
+        assert tracemalloc.get_traced_memory()[1] - held < edges // 2
+    finally:
+        tracemalloc.stop()
+    assert report.optimal
+
+
 def test_materialize_rejects_dimensions_above_the_ceiling(monkeypatch):
     class NoNumpy:
         def __getattr__(self, name):
@@ -419,6 +451,19 @@ def test_validate_names_the_highest_level_that_differs(monkeypatch):
     monkeypatch.setattr(core, "materialize", None)  # validate builds no graph
     (violation,) = validate(BcGraph(6, Graph(64, edges), bc.tree)).violations
     assert violation.endswith("level 5, block 1 (vertices 32..63)")
+    assert validate(bc).ok
+
+
+def test_validate_names_the_highest_level_across_windows(monkeypatch):
+    # windows of 4 vertices: a level-2 mismatch in the first window, and
+    # level-4 mismatches (a phi slice a window) in blocks 1 and 3 later on
+    monkeypatch.setattr(core, "_WINDOW", 2)
+    bc = random_bc(6, 11)
+    edges = _swap_matching(bc, 2, 0)
+    for block in (3, 1):
+        edges = _swap_matching(BcGraph(6, Graph(64, edges), bc.tree), 4, block)
+    (violation,) = validate(BcGraph(6, Graph(64, edges), bc.tree)).violations
+    assert violation.endswith("level 4, block 1 (vertices 16..31)")
     assert validate(bc).ok
 
 

@@ -122,8 +122,11 @@ def test_bounded_draws_report_a_likely_rejection():
     assert (value, rejected) == (z % b, z >= ((1 << 64) // b) * b)
 
 
-@pytest.mark.parametrize("count", [1, 3, 64, 200])
-@pytest.mark.parametrize("size", [2, 5, 16])
+@pytest.mark.parametrize(
+    "count, size",
+    [(c, s) for c in (1, 2, 7, 63, 64, 200) for s in (2, 5, 16, 257)]
+    + [(1, 4096), (63, 4096)],
+)
 def test_shuffle_rows_matches_permutation(count, size):
     # both paths of shuffle_rows, fed the draws permutation() makes
     seed = count * 100 + size
@@ -134,3 +137,23 @@ def test_shuffle_rows_matches_permutation(count, size):
     perms = shuffle_rows(np.array(draws, dtype=np.uint64))
     assert perms.tolist() == expected
     assert perms.dtype == np.int32 and not perms.flags.writeable
+
+
+def _swaps(draws, size):
+    """The descending shuffle of 0..size-1 with the given draws."""
+    items = list(range(size))
+    for i, j in zip(range(size - 1, 0, -1), draws):
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+@pytest.mark.parametrize("count", [1, 5, 63, 64])
+@pytest.mark.parametrize("size", [2, 3, 1000])
+def test_shuffle_rows_replays_self_steps_and_long_chains(count, size):
+    # every step a self-step; every step targeting 0, one chain through
+    # every position; and alternating between the two
+    steps = np.arange(size - 1, 0, -1)
+    for row in (steps, np.zeros_like(steps), np.where(steps % 2, steps, 0)):
+        perms = shuffle_rows(np.tile(row, (count, 1)).astype(np.uint64))
+        assert perms.tolist() == [_swaps(row.tolist(), size)] * count
+
