@@ -14,13 +14,13 @@ from contextlib import contextmanager
 
 from . import families, formats, verify
 from .core import DEFAULT_DIMENSION_CAP, DimensionCapError, _check_cap, validate
-from .isoperimetric import EnumerationLimitError
+from .isoperimetric import EnumerationLimitError, _check_boundary_args
 from .layout import (
     EXHAUSTIVE_VERTEX_LIMIT,
     LinearArrangement,
     SolverLimitError,
     _check_solver_limit,
-    certify_tree,
+    certify_dimension,
     evaluate_arrangement,
     minla_exact,
 )
@@ -145,22 +145,28 @@ def _family_spec_from_args(args) -> families.FamilySpec:
 
 
 def _source(args, load):
-    """The FamilySpec from --family flags (trusted) or the GraphDocument
-    that `load` reads from --input (untrusted); the other one is None."""
+    """The FamilySpec from --family flags (trusted), its cap and seed
+    checked and nothing built, or the GraphDocument that `load` reads from
+    --input (untrusted); the other one is None."""
     if (args.family is None) == (args.input is None):
         raise ValueError("provide exactly one of --family or --input")
-    if args.family is not None:
-        return _family_spec_from_args(args), None
-    with open(args.input) as fp:
-        return None, load(fp)
+    if args.family is None:
+        with open(args.input) as fp:
+            return None, load(fp)
+    spec = _family_spec_from_args(args)
+    families.check_spec(spec, cap=args.cap)
+    return spec, None
 
 
 def _tree_source(args):
-    """`_source` of a graph JSON document that carries a construction tree."""
+    """The dimension and, for --input, the graph JSON document, which must
+    carry a construction tree; for --family the document is None."""
     spec, doc = _source(args, formats.load_graph_json)
-    if doc is not None and doc.tree is None:
+    if spec is not None:
+        return spec.dimension, None
+    if doc.tree is None:
         raise ValueError(f"{args.input} carries no construction tree")
-    return spec, doc
+    return doc.tree.dimension, doc
 
 
 def _witness_is_valid(bc, err) -> bool:
@@ -185,6 +191,8 @@ def _cmd_table(args, out, err) -> int:
     size = 1 << n
     if args.m is not None:
         ms = [int(tok) for tok in args.m.split(",") if tok.strip()]
+        for m in ms:  # every m before any row is written
+            _check_boundary_args(n, m)
     elif args.max_m is not None:
         ms = range(1, min(args.max_m, size - 1) + 1)
     elif n <= FULL_TABLE_DIMENSION_LIMIT:
@@ -199,10 +207,7 @@ def _cmd_table(args, out, err) -> int:
 
 
 def _cmd_arrange(args, out, err) -> int:
-    spec, doc = _tree_source(args)
-    if spec is not None:  # the arrangement needs the dimension alone: no tree
-        families.check_spec(spec, cap=args.cap)
-    n = doc.tree.dimension if spec is None else spec.dimension
+    n, _ = _tree_source(args)  # the arrangement is the identity on 2**n vertices
     with _open_out(args.output, out) as fp:
         formats.dump_arrangement(LinearArrangement.identity(1 << n), fp)
     return 0
@@ -222,22 +227,20 @@ def _cmd_eval(args, out, err) -> int:
 
 
 def _cmd_certify(args, out, err) -> int:
-    spec, doc = _tree_source(args)
-    if spec is not None:
-        report = certify_tree(families.build_tree(spec, cap=args.cap))
-    else:
+    n, doc = _tree_source(args)
+    if doc is not None:
         bc = doc.to_bc()
         _check_cap(bc.dimension, args.cap)  # before any work on the witness
         if not _witness_is_valid(bc, err):
             return 1
-        report = certify_tree(bc.tree)  # a valid witness is its tree's graph
+    report = certify_dimension(n)  # a valid witness is a dimension-n BC graph
     _emit_report(report, args, out)
     return 0 if report.optimal else 1
 
 
 def _emit_report(report, args, out) -> None:
     with _open_out(args.output, out) as fp:
-        if getattr(args, "human", False):
+        if args.human:
             for line in formats.format_report_lines(report):
                 fp.write(line + "\n")
         else:
@@ -246,8 +249,6 @@ def _emit_report(report, args, out) -> None:
 
 def _cmd_solve(args, out, err) -> int:
     spec, doc = _source(args, formats.load_graph_any)
-    if spec is not None:  # the solver's limit before any tree is built
-        families.check_spec(spec, cap=args.cap)
     size = doc.graph.vertex_count if spec is None else 1 << spec.dimension
     mode = args.mode
     if mode == "auto":

@@ -63,13 +63,22 @@ def check_permutation(rows, size: int) -> np.ndarray:
         raise ValueError("permutation entries must be integers")
     if arr.min() < 0 or arr.max() >= size:
         raise ValueError(f"permutation value out of range 0..{size - 1}")
-    arr = arr.astype(np.int32, copy=arr is rows and arr.flags.writeable)
+    arr = arr.astype(np.int32, copy=arr is rows and not _frozen(arr))
     seen = np.zeros(arr.shape, dtype=bool)
     np.put_along_axis(seen, arr, True, axis=1)
     if not seen.all():
         raise ValueError(f"permutation row {np.argmin(seen.all(axis=1))} repeats a value")
     arr.setflags(write=False)
     return arr
+
+
+def _frozen(arr: np.ndarray) -> bool:
+    """Whether `arr` may be held uncopied: it and every array down its base
+    chain are read-only, to one that owns its memory. A read-only view or
+    broadcast of a writable array is not frozen."""
+    while isinstance(arr, np.ndarray) and not arr.flags.writeable:
+        arr = arr.base
+    return arr is None
 
 
 def _check_cap(dimension: int, cap: int) -> None:
@@ -88,7 +97,8 @@ class Graph:
     """Immutable undirected graph on vertex ids 0..N-1.
 
     Edges are held as a read-only (M, 2) int64 array with u < v in each row,
-    rows sorted lexicographically. No self-loops, no duplicates.
+    rows sorted lexicographically. No self-loops, no duplicates. An int64
+    array is held uncopied only when no writable array shares its memory.
     """
 
     __slots__ = ("vertex_count", "_edges")
@@ -106,7 +116,7 @@ class Graph:
             if not np.issubdtype(raw.dtype, np.integer):
                 raise ValueError("edge endpoints must be integers")
             # copy only an array the caller can still write to
-            arr = raw.astype(np.int64, copy=raw is edges and raw.flags.writeable)
+            arr = raw.astype(np.int64, copy=raw is edges and not _frozen(raw))
             lo, hi = arr[:, 0], arr[:, 1]
             if arr.min() < 0 or arr.max() >= vertex_count:
                 raise ValueError("edge endpoint out of range")

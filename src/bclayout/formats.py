@@ -375,10 +375,7 @@ def dump_arrangement(arrangement: LinearArrangement, fp: IO[str]) -> None:
 
 def load_arrangement(fp: IO[str]) -> LinearArrangement:
     pairs: dict[int, int] = {}
-    for line in fp:
-        line = line.strip()
-        if not line:
-            continue
+    for line in filter(None, map(str.strip, fp)):
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"malformed arrangement line: {line!r}")

@@ -197,12 +197,5 @@ def _subset_table(graph: Graph, boundary: bool) -> np.ndarray:
 def _witness(graph: Graph, subset_mask: int) -> SubsetWitness:
     vertices = tuple(v for v in range(graph.vertex_count) if (subset_mask >> v) & 1)
     members = frozenset(vertices)
-    induced = 0
-    boundary = 0
-    for u, v in graph.iter_edges():
-        inside = (u in members) + (v in members)
-        if inside == 2:
-            induced += 1
-        elif inside == 1:
-            boundary += 1
-    return SubsetWitness(vertices, induced, boundary)
+    inside = [(u in members) + (v in members) for u, v in graph.iter_edges()]
+    return SubsetWitness(vertices, inside.count(2), inside.count(1))

@@ -8,9 +8,10 @@ construction-tree arrangement meets that bound exactly, which certifies
 minimality without search; independent exhaustive and branch-and-bound
 solvers confirm it at small scale.
 
-`certify_tree` reports the proven cut profile theta(n, m) from the tree's
-dimension alone; `certify`, `evaluate_arrangement` and `cut_profile`
-measure an edge array, so they also check graphs the proof does not cover.
+`certify_dimension` reports the proven cut profile theta(n, m), which every
+BC graph of dimension n shares; `certify`, `evaluate_arrangement` and
+`cut_profile` measure an edge array, so they also check graphs the proof
+does not cover.
 """
 
 from __future__ import annotations
@@ -229,12 +230,14 @@ def minla_exact(
         first half of the positions. Children are explored in ascending
         vertex id, so results are deterministic.
 
-    The incumbent starts as the identity arrangement. When a budget is set
-    and exhausted, the best arrangement found so far is returned with
-    proven=False instead of failing.
+    The incumbent starts as the identity arrangement. A budget is seconds
+    >= 0 (inf: no limit); when it is exhausted, the best arrangement found
+    so far is returned with proven=False instead of failing.
     """
     n = graph.vertex_count
     _check_solver_limit(mode, n)
+    if budget_seconds is not None and not budget_seconds >= 0:  # NaN fails too
+        raise ValueError(f"budget must be at least 0 seconds, got {budget_seconds}")
     incumbent = LinearArrangement.identity(n)
     start = time.perf_counter()
     if mode == "exhaustive":
@@ -347,9 +350,9 @@ def certify(bc: BcGraph) -> LayoutReport:
     return _bc_report(bc.dimension, cost, profile)
 
 
-def certify_tree(tree: ConstructionTree) -> LayoutReport:
-    """`certify` of the graph a construction tree describes, from the proven
-    cut profile: neither the graph nor the tree's level rows are read.
+def certify_dimension(n: int) -> LayoutReport:
+    """`certify` of every BC graph of dimension n, from the proven cut
+    profile: no graph or construction tree is read, as none is needed.
 
     Block lemma. Under the identity arrangement vertex v sits at slot v. A
     level-d block covers the slots base..base + 2**d - 1, and its matching
@@ -367,11 +370,8 @@ def certify_tree(tree: ConstructionTree) -> LayoutReport:
     theta doubles: with h = 2**(d-1), theta_d[m] = theta_(d-1)[m] + m for
     m <= h, and theta_(d-1)[m - h] + 2**d - m for m >= h, which mirrors the
     first half, as theta_(d-1) is symmetric. The ramp 1..h is kept in the
-    slots the mirror fills next, so no array but theta is allocated. Every
-    row is checked to be a permutation when a tree is made, so only the
-    dimension is checked here.
+    slots the mirror fills next, so no array but theta is allocated.
     """
-    n = tree.dimension
     _check_cap(n, MAX_DIMENSION_CAP)
     theta = np.zeros((1 << n) + 1, dtype=np.int64)  # theta[m] for m = 0..2**n
     theta[2] = 1  # level 1's ramp
@@ -407,10 +407,6 @@ def evaluate_arrangement(
     to the subset-enumeration size.
     """
     cost, profile = _accumulate(graph.vertex_count, *_slot_pairs(graph, arrangement))
-    if witness is not None:
-        bound = lower_bound_closed(witness.dimension)
-        closed: int | None = bound
-    else:
-        bound = lower_bound_generic(graph)
-        closed = None
+    closed = None if witness is None else lower_bound_closed(witness.dimension)
+    bound = lower_bound_generic(graph) if closed is None else closed
     return LayoutReport(cost, bound, closed, profile, cost == bound)

@@ -131,7 +131,8 @@ def shuffle_rows(draws: np.ndarray) -> np.ndarray:
     if count < _BATCH_ROWS:
         perms = _replay(draws)
     else:
-        perms = np.tile(np.arange(size, dtype=np.int32), (count, 1))
+        perms = np.empty((count, size), dtype=np.int32)  # owns its memory
+        perms[:] = np.arange(size, dtype=np.int32)
         draws = draws.astype(np.intp)
         rows = np.arange(count)
         for t in range(steps):
@@ -183,8 +184,8 @@ def _replay(draws: np.ndarray) -> np.ndarray:
     # the previous writer of its target, or the target's own value
     received = target
     received[:-1][same] = nxt[step[1:][same]]
-    perms = jumped
-    perms[step] = received
-    perms = perms.reshape(count, size)
+    jumped[step] = received
+    perms = jumped.reshape(count, size)
     perms -= offset.astype(np.int32)
+    jumped.setflags(write=False)  # so the frozen view is adopted uncopied
     return perms

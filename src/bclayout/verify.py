@@ -32,7 +32,7 @@ from .layout import (
     arrangement_cost,
     bc_arrangement,
     certify,
-    certify_tree,
+    certify_dimension,
     cut_profile,
     lower_bound_closed,
     lower_bound_generic,
@@ -51,10 +51,6 @@ class SuiteResult:
     passed: bool
     detail: str
     elapsed: float
-
-
-def _closed_form(n: int) -> int:
-    return (1 << (n - 1)) * ((1 << n) - 1)
 
 
 def _seeds(base_seed: int, count: int) -> list[int]:
@@ -109,9 +105,10 @@ def _arrangement_certificates(seed: int) -> tuple[bool, str]:
     checked = 0
     for n in range(1, 21):
         random_count = 2 if n <= 12 else 0
+        want = (1 << (n - 1)) * ((1 << n) - 1)
+        closed = certify_dimension(n)  # the proven profile, one per dimension
         for name, bc in _family_members(n, seeds, random_count):
             report = certify(bc)
-            want = _closed_form(n)
             ok = (
                 report.cost == want
                 and report.lower_bound == want
@@ -123,8 +120,7 @@ def _arrangement_certificates(seed: int) -> tuple[bool, str]:
                 failures.append(
                     f"{name} n={n}: cost {report.cost}, bound {report.lower_bound}"
                 )
-            # the proven profile of certify_tree against the measured one
-            if certify_tree(bc.tree) != report:
+            if closed != report:
                 failures.append(f"{name} n={n}: closed-form report differs")
     if failures:
         return False, "; ".join(failures[:4])

@@ -106,6 +106,16 @@ def test_table_large_dimension_needs_row_selection():
     assert len(out.splitlines()) == 5
 
 
+@pytest.mark.parametrize("ms", ["1,9", "9", "1,0", "0", "2,-1", "8,7,6,5,4,3,2,1,9"])
+def test_table_rejects_a_bad_m_before_writing(tmp_path, ms):
+    path = tmp_path / "t.csv"
+    for output in ([], ["-o", str(path)]):
+        status, out, err = invoke("table", "-n", "3", "--m", ms, *output)
+        assert (status, out) == (2, "")
+        assert err.startswith("error: m must be in 1..2**3, got ")
+    assert not path.exists()
+
+
 def test_arrange_and_eval_round_trip(tmp_path):
     gpath = tmp_path / "g.json"
     apath = tmp_path / "f.txt"
@@ -165,7 +175,7 @@ def test_certify_human_output():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_family_commands_build_no_edges(kind, monkeypatch):
-    # certify reads the construction tree alone, and arrange not even that
+    # certify and arrange need the dimension alone: no tree, no graph
     def no_materialize(tree):
         raise AssertionError("the graph was materialized")
 
@@ -174,25 +184,32 @@ def test_family_commands_build_no_edges(kind, monkeypatch):
 
     monkeypatch.setattr(core, "materialize", no_materialize)
     monkeypatch.setattr(families, "materialize", no_materialize)
+    monkeypatch.setattr(families, "build_tree", no_tree)
     flags = ["--family", kind, "-n", "6"] + (["--seed", "7"] if kind == "random" else [])
     status, out, _ = invoke("certify", *flags)
     assert status == 0
     report = json.loads(out)
     assert report["cost"] == report["lower_bound"] == 32 * 63
     assert report["cuts"] == [edge_boundary(6, m) for m in range(1, 64)]
-    monkeypatch.setattr(families, "build_tree", no_tree)
     status, out, _ = invoke("arrange", *flags)
     assert status == 0
     assert out.splitlines() == [f"{v} {v + 1}" for v in range(64)]
 
 
-def test_arrange_family_checks_the_cap_and_the_seed():
-    status, _, err = invoke("arrange", "--family", "hypercube", "-n", "5", "--cap", "3")
+@pytest.mark.parametrize("command", ["arrange", "certify"])
+def test_family_commands_check_the_cap_and_the_seed(command, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the checks")
+
+    monkeypatch.setattr(families, "build_tree", no_work)
+    monkeypatch.setattr(cli, "certify_dimension", no_work)
+    status, _, err = invoke(command, "--family", "hypercube", "-n", "5", "--cap", "3")
     assert status == 3
     assert "cap" in err
-    assert_input_error("arrange", "--family", "hypercube", "-n", "3", "--cap", "27")
-    assert_input_error("arrange", "--family", "random", "-n", "3", "--seed", "-1")
-    assert_input_error("arrange", "--family", "random", "-n", "3")
+    assert_input_error(command, "--family", "hypercube", "-n", "3", "--cap", "27")
+    assert_input_error(command, "--family", "hypercube", "-n", "3", "--cap", "0")
+    assert_input_error(command, "--family", "random", "-n", "3", "--seed", "-1")
+    assert_input_error(command, "--family", "random", "-n", "3")
 
 
 def test_out_of_memory_is_resource_error(monkeypatch):
@@ -201,10 +218,10 @@ def test_out_of_memory_is_resource_error(monkeypatch):
         (MemoryError(), "out of memory"),
     ):
 
-        def exhausted(tree):
+        def exhausted(n):
             raise error
 
-        monkeypatch.setattr(cli, "certify_tree", exhausted)
+        monkeypatch.setattr(cli, "certify_dimension", exhausted)
         status, out, err = invoke("certify", "--family", "hypercube", "-n", "4")
         assert (status, out, err) == (3, "", f"error: {line}\n")
 
@@ -336,6 +353,30 @@ def test_solve_budget_exhaustion(tmp_path):
     assert status == 3
     assert json.loads(out)["proven"] is False
     assert "budget" in err
+
+
+@pytest.mark.parametrize("budget", ["nan", "-1", "-0.5"])
+def test_solve_rejects_a_malformed_budget_before_any_search(budget, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(layout, "_solve_exhaustive", no_search)
+    monkeypatch.setattr(layout, "_solve_branch_and_bound", no_search)
+    for mode in ("exhaustive", "branch-and-bound"):
+        status, out, err = invoke(
+            "solve", "--family", "hypercube", "-n", "2", "--mode", mode, "--budget", budget
+        )
+        assert (status, out) == (2, "")
+        assert err.startswith("error: budget must be at least 0 seconds")
+
+
+def test_solve_infinite_budget_sets_no_limit():
+    status, out, _ = invoke(
+        "solve", "--family", "hypercube", "-n", "3", "--mode", "branch-and-bound",
+        "--budget", "inf",
+    )
+    assert status == 0
+    assert json.loads(out)["cost"] == 28 and json.loads(out)["proven"] is True
 
 
 def test_arrange_requires_a_tree(tmp_path):

@@ -16,7 +16,7 @@ from bclayout import (
     Node,
     bc_arrangement,
     certify,
-    certify_tree,
+    certify_dimension,
     evaluate_arrangement,
     hypercube,
     materialize,
@@ -142,6 +142,32 @@ def test_graph_adopts_only_frozen_arrays():
     assert not np.shares_memory(g.edge_array, writable)
     writable[0] = (2, 3)
     assert g.edge_array.tolist() == [[0, 1], [0, 2], [1, 3]]
+
+
+def frozen_view(a):
+    view = a.view()
+    view.setflags(write=False)
+    return view
+
+
+# read-only arrays whose memory a writable array still holds
+SHARERS = {"view": frozen_view, "broadcast": lambda a: np.broadcast_to(a[0], a.shape)}
+
+
+@pytest.mark.parametrize("share", SHARERS)
+def test_graph_copies_a_read_only_array_of_writable_memory(share):
+    edges = np.array([[0, 1]], dtype=np.int64)
+    g = Graph(3, SHARERS[share](edges))
+    edges[0] = (2, 2)
+    assert g.edge_array.tolist() == [[0, 1]]
+
+
+@pytest.mark.parametrize("share", SHARERS)
+def test_tree_copies_a_read_only_level_of_writable_memory(share):
+    phis = np.array([[0, 1]], dtype=np.int32)
+    tree = ConstructionTree(2, ((SHARERS[share](phis), [0]),))
+    phis[0] = (1, 1)
+    assert tree.phi == (0, 1)
 
 
 # ------------------------------------------------------------- trees
@@ -283,11 +309,11 @@ def test_materialize_emits_canonical_rows(nested, rnd):
 
 @given(trees())
 @settings(max_examples=100)
-def test_certify_tree_matches_the_materialized_graph(tree):
+def test_certify_dimension_matches_the_materialized_graph(tree):
     # the proven profile, the edge array as one block, and the evaluation by
     # positions give one report
     bc = BcGraph(tree.dimension, materialize(tree), tree)
-    report = certify_tree(tree)
+    report = certify_dimension(tree.dimension)
     assert report == certify(bc)
     assert report == evaluate_arrangement(bc.graph, bc_arrangement(tree), witness=bc)
 
@@ -334,7 +360,7 @@ def test_materialize_rejects_dimensions_above_the_ceiling(monkeypatch):
     with pytest.raises(DimensionCapError, match="ceiling"):
         materialize(StubTree())
     with pytest.raises(DimensionCapError):
-        certify_tree(StubTree())
+        certify_dimension(MAX_DIMENSION_CAP + 1)
 
 
 # ------------------------------------------------------------- compose

@@ -19,9 +19,8 @@ from bclayout import (
     arrangement_cost,
     bc_arrangement,
     build_family,
-    build_tree,
     certify,
-    certify_tree,
+    certify_dimension,
     cut_profile,
     edge_boundary,
     evaluate_arrangement,
@@ -230,36 +229,27 @@ SPECS = [
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=str)
-def test_certify_tree_equals_certify(spec):
+def test_certify_dimension_equals_certify(spec):
     # the proven profile and the measured edge array give one report
-    assert certify_tree(build_tree(spec)) == certify(build_family(spec))
+    assert certify_dimension(spec.dimension) == certify(build_family(spec))
 
 
 @pytest.mark.parametrize("spec", [s for s in SPECS if s.dimension <= 12], ids=str)
-def test_certify_tree_profile_is_the_boundary_table(spec):
+def test_certify_dimension_profile_is_the_boundary_table(spec):
+    # the proven profile and the member's measured one are the table
     n = spec.dimension
-    counts = certify_tree(build_tree(spec)).cut_profile.tolist()
-    assert counts == [edge_boundary(n, m) for m in range(1, 1 << n)]
+    table = [edge_boundary(n, m) for m in range(1, 1 << n)]
+    assert certify_dimension(n).cut_profile.tolist() == table
+    bc = build_family(spec)
+    assert cut_profile(bc.graph, bc_arrangement(bc.tree)).tolist() == table
 
 
-def test_certify_tree_reads_no_level_rows():
-    class UnreadableTree:
-        dimension = 10
-
-        @property
-        def levels(self):
-            raise AssertionError("certify_tree read the tree's level rows")
-
-    assert certify_tree(UnreadableTree()) == certify(hypercube(10))
-
-
-def test_certify_tree_allocates_only_the_profile():
-    """tracemalloc peak of certify_tree at n = 20: the 2**20 + 1 int64 θ
-    array and a few small objects. A ramp array per level adds 4 MB."""
-    tree = build_tree(FamilySpec("hypercube", 20))
+def test_certify_dimension_allocates_only_the_profile():
+    """tracemalloc peak of certify_dimension at n = 20: the 2**20 + 1 int64
+    θ array and a few small objects. A ramp array per level adds 4 MB."""
     tracemalloc.start()
     try:
-        report = certify_tree(tree)
+        report = certify_dimension(20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -277,7 +267,7 @@ def test_certify_checks_the_vertex_count():
 Q3 = hypercube(3)
 PROFILES = {
     "certify": lambda: certify(Q3).cut_profile,
-    "certify_tree": lambda: certify_tree(Q3.tree).cut_profile,
+    "certify_dimension": lambda: certify_dimension(3).cut_profile,
     "evaluate_arrangement": lambda: evaluate_arrangement(
         Q3.graph, bc_arrangement(Q3.tree)
     ).cut_profile,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from bclayout.core import check_permutation
 from bclayout.rng import _GAMMA, SplitMix64, bounded_draws, shuffle_rows
 
 # Published SplitMix64 reference outputs for seed 0; any change to the
@@ -137,6 +138,7 @@ def test_shuffle_rows_matches_permutation(count, size):
     perms = shuffle_rows(np.array(draws, dtype=np.uint64))
     assert perms.tolist() == expected
     assert perms.dtype == np.int32 and not perms.flags.writeable
+    assert check_permutation(perms, size) is perms  # a tree adopts it uncopied
 
 
 def _swaps(draws, size):
