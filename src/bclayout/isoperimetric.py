@@ -111,19 +111,24 @@ def brute_force_tables(graph: Graph) -> tuple[list[int], list[int]]:
 
 def _best_by_size(graph: Graph, boundary: bool) -> list[int]:
     """Most induced edges, or with `boundary` least edge boundary, of the
-    subsets of each size 0..N.
+    subsets of each size 0..N."""
+    return _table_best_by_size(_subset_table(graph, boundary), graph.edge_count, boundary)
 
-    Read from one histogram of that table over (subset size, value) keys,
+
+def _table_best_by_size(table: np.ndarray, edge_count: int, boundary: bool) -> list[int]:
+    """`_best_by_size` of a `_subset_table` already built, whose values lie
+    in 0..edge_count.
+
+    Read from one histogram of the table over (subset size, value) keys,
     a row of the subset lattice at a time: rows are aligned, so a subset's
     size is its row's popcount plus its column's.
     """
-    n, width = graph.vertex_count, graph.edge_count + 1
-    _check_enumerable(n)
-    cols = min(1 << n, _ROW)
+    n, width = table.size.bit_length() - 1, edge_count + 1
+    cols = min(table.size, _ROW)
     offsets = np.bitwise_count(np.arange(cols, dtype=np.uint32)).astype(np.intp) * width
     seen = sum(
         np.bincount(offsets + row + r.bit_count() * width, minlength=(n + 1) * width)
-        for r, row in enumerate(_subset_table(graph, boundary).reshape(-1, cols))
+        for r, row in enumerate(table.reshape(-1, cols))
     ).reshape(n + 1, width) > 0
     if boundary:
         return seen.argmax(axis=1).tolist()

@@ -29,7 +29,7 @@ from .core import (
     Graph,
     _check_cap,
 )
-from .isoperimetric import _best_by_size, sum_edge_boundary
+from . import isoperimetric
 from .rng import SplitMix64
 
 EXHAUSTIVE_VERTEX_LIMIT = 8
@@ -127,8 +127,8 @@ class LayoutReport:
 
 @dataclass(frozen=True)
 class ExactResult:
-    """Outcome of an exact search. `proven` is False only when a
-    branch-and-bound budget ran out before the tree was exhausted."""
+    """Outcome of an exact search. `proven` is False only when the budget
+    ran out before the search was complete."""
 
     cost: int
     arrangement: LinearArrangement
@@ -196,13 +196,13 @@ def bc_arrangement(tree: ConstructionTree) -> LinearArrangement:
 def lower_bound_closed(n: int) -> int:
     """Cost lower bound for any dimension-n BC graph: the sum of the
     per-prefix minimum edge boundaries, 2**(n-1) * (2**n - 1)."""
-    return sum_edge_boundary(n)
+    return isoperimetric.sum_edge_boundary(n)
 
 
 def lower_bound_generic(graph: Graph) -> int:
     """Cost lower bound valid for any graph: sum over every prefix size of
     the exact minimum edge boundary, found by subset enumeration."""
-    boundary_min = _best_by_size(graph, boundary=True)
+    boundary_min = isoperimetric._best_by_size(graph, boundary=True)
     return sum(boundary_min[1 : graph.vertex_count])
 
 
@@ -230,9 +230,21 @@ def minla_exact(
         first half of the positions. Children are explored in ascending
         vertex id, so results are deterministic.
 
+    Repeated subtrees are replayed, not searched. While no leaf beats the
+    incumbent, a subtree's search depends only on its placed set and its
+    slack, best_cost - cut_sum: a child is pruned when its boundary plus
+    the remaining cuts' minima meets the slack, a leaf improves when the
+    slack is positive, and the anchor rule reads the placed set alone. So a
+    subtree that finished without improving the incumbent stores its node
+    count under (slack, placed set), and a later visit with the same key
+    adds that count and returns. `nodes_explored` counts the nodes of the
+    plain depth-first tree, replayed subtrees included, so it matches the
+    search without the memo node for node.
+
     The incumbent starts as the identity arrangement. A budget is seconds
     >= 0 (inf: no limit); when it is exhausted, the best arrangement found
-    so far is returned with proven=False instead of failing.
+    so far is returned with proven=False instead of failing. The
+    exhaustive scan reads the clock once every 1024 permutations.
     """
     n = graph.vertex_count
     _check_solver_limit(mode, n)
@@ -240,13 +252,9 @@ def minla_exact(
         raise ValueError(f"budget must be at least 0 seconds, got {budget_seconds}")
     incumbent = LinearArrangement.identity(n)
     start = time.perf_counter()
-    if mode == "exhaustive":
-        cost, arrangement, nodes = _solve_exhaustive(graph, incumbent)
-        proven = True
-    else:
-        cost, arrangement, proven, nodes = _solve_branch_and_bound(
-            graph, incumbent, budget_seconds
-        )
+    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
+    solve = _solve_exhaustive if mode == "exhaustive" else _solve_branch_and_bound
+    cost, arrangement, proven, nodes = solve(graph, incumbent, deadline)
     return ExactResult(
         cost, arrangement, proven, mode, nodes, time.perf_counter() - start
     )
@@ -266,7 +274,7 @@ def _check_solver_limit(mode: str, vertex_count: int) -> None:
         )
 
 
-def _solve_exhaustive(graph, incumbent):
+def _solve_exhaustive(graph, incumbent, deadline):
     n = graph.vertex_count
     edges = list(graph.iter_edges())
     best_cost = arrangement_cost(graph, incumbent)
@@ -274,6 +282,9 @@ def _solve_exhaustive(graph, incumbent):
     count = 0
     for perm in itertools.permutations(range(1, n + 1)):
         count += 1
+        # the clock is read at permutations 1, 1025, 2049, ...
+        if deadline is not None and count & 1023 == 1 and time.monotonic() > deadline:
+            return best_cost, LinearArrangement(best), False, count
         total = 0
         for u, v in edges:
             d = perm[u] - perm[v]
@@ -284,14 +295,14 @@ def _solve_exhaustive(graph, incumbent):
             if total < best_cost:
                 best_cost = total
                 best = perm
-    return best_cost, LinearArrangement(best), count
+    return best_cost, LinearArrangement(best), True, count
 
 
-def _solve_branch_and_bound(graph, incumbent, budget_seconds):
+def _solve_branch_and_bound(graph, incumbent, deadline):
     n = graph.vertex_count
-    masks = graph.adjacency_masks()
-    degrees = graph.degrees().tolist()
-    boundary_min = _best_by_size(graph, boundary=True)
+    table = isoperimetric._subset_table(graph, boundary=True)
+    boundary_min = isoperimetric._table_best_by_size(table, graph.edge_count, boundary=True)
+    boundary = table.tolist()  # boundary[S]: the edges leaving vertex set S
     # rest[k]: least possible crossing total of cuts k+1..n-1, any completion
     rest = [0] * (n + 1)
     for k in range(n - 2, -1, -1):
@@ -299,12 +310,14 @@ def _solve_branch_and_bound(graph, incumbent, budget_seconds):
     best_cost = arrangement_cost(graph, incumbent)
     best_positions = incumbent.to_list()
     anchor_limit = (n + 1) // 2  # mirror-canonical: vertex 0 in the first half
-    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     nodes = 0
     order: list[int] = []  # order[k] is the vertex placed at position k+1
-    vertices = [(v, 1 << v, degrees[v], masks[v]) for v in range(n)]
+    vertices = [(v, 1 << v) for v in range(n)]
+    # (best_cost - cut_sum) << n | placed -> nodes of that subtree, for the
+    # subtrees that finished without improving the incumbent
+    memo: dict[int, int] = {}
 
-    def search(placed: int, k: int, cut_sum: int, boundary: int) -> None:
+    def search(placed: int, k: int, cut_sum: int) -> None:
         nonlocal nodes, best_cost, best_positions
         nodes += 1
         if deadline is not None and time.monotonic() > deadline:
@@ -319,19 +332,27 @@ def _solve_branch_and_bound(graph, incumbent, budget_seconds):
         if k >= anchor_limit and not placed & 1:
             return
         tail = rest[k + 1]
-        for v, bit, degree, mask in vertices:
+        for v, bit in vertices:
             if placed & bit:
                 continue
-            next_boundary = boundary + degree - 2 * (mask & placed).bit_count()
-            next_cut_sum = cut_sum + next_boundary
+            child = placed | bit
+            next_cut_sum = cut_sum + boundary[child]
             if next_cut_sum + tail >= best_cost:
                 continue
+            key = (best_cost - next_cut_sum) << n | child
+            replay = memo.get(key)
+            if replay is not None:
+                nodes += replay
+                continue
+            before, incumbent_cost = nodes, best_cost
             order.append(v)
-            search(placed | bit, k + 1, next_cut_sum, next_boundary)
+            search(child, k + 1, next_cut_sum)
             order.pop()
+            if best_cost == incumbent_cost:
+                memo[key] = nodes - before
 
     try:
-        search(0, 0, 0, 0)
+        search(0, 0, 0)
         proven = True
     except _BudgetExhausted:
         proven = False

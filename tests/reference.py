@@ -1,8 +1,13 @@
 """Independent references for tests: construction trees as nested
 (left, right, phi) tuples, with None for the dimension-1 leaf, their edges
-by the construction's recursion, and random trees by the scalar stream."""
+by the construction's recursion, random trees by the scalar stream, and the
+plain depth-first branch-and-bound that the memoized solver must replay."""
 
-from bclayout import ConstructionTree, Node, SplitMix64
+import time
+
+from bclayout import ConstructionTree, LinearArrangement, Node, SplitMix64, arrangement_cost
+from bclayout.isoperimetric import _best_by_size
+from bclayout.layout import _BudgetExhausted
 
 LEAF = ConstructionTree(1)
 
@@ -39,3 +44,54 @@ def scalar_tree(n, seed):
         return (left, right, rng.permutation(1 << (d - 1)))
 
     return draw(n)
+
+
+def _solve_branch_and_bound(graph, incumbent, budget_seconds):
+    n = graph.vertex_count
+    masks = graph.adjacency_masks()
+    degrees = graph.degrees().tolist()
+    boundary_min = _best_by_size(graph, boundary=True)
+    # rest[k]: least possible crossing total of cuts k+1..n-1, any completion
+    rest = [0] * (n + 1)
+    for k in range(n - 2, -1, -1):
+        rest[k] = rest[k + 1] + boundary_min[k + 1]
+    best_cost = arrangement_cost(graph, incumbent)
+    best_positions = incumbent.to_list()
+    anchor_limit = (n + 1) // 2  # mirror-canonical: vertex 0 in the first half
+    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
+    nodes = 0
+    order: list[int] = []  # order[k] is the vertex placed at position k+1
+    vertices = [(v, 1 << v, degrees[v], masks[v]) for v in range(n)]
+
+    def search(placed: int, k: int, cut_sum: int, boundary: int) -> None:
+        nonlocal nodes, best_cost, best_positions
+        nodes += 1
+        if deadline is not None and time.monotonic() > deadline:
+            raise _BudgetExhausted
+        if k == n:
+            if cut_sum < best_cost:
+                best_cost = cut_sum
+                best_positions = [0] * n
+                for idx, v in enumerate(order):
+                    best_positions[v] = idx + 1
+            return
+        if k >= anchor_limit and not placed & 1:
+            return
+        tail = rest[k + 1]
+        for v, bit, degree, mask in vertices:
+            if placed & bit:
+                continue
+            next_boundary = boundary + degree - 2 * (mask & placed).bit_count()
+            next_cut_sum = cut_sum + next_boundary
+            if next_cut_sum + tail >= best_cost:
+                continue
+            order.append(v)
+            search(placed | bit, k + 1, next_cut_sum, next_boundary)
+            order.pop()
+
+    try:
+        search(0, 0, 0, 0)
+        proven = True
+    except _BudgetExhausted:
+        proven = False
+    return best_cost, LinearArrangement(best_positions), proven, nodes

@@ -355,6 +355,13 @@ def test_solve_budget_exhaustion(tmp_path):
     assert "budget" in err
 
 
+def test_solve_exhaustive_budget_exhaustion():
+    status, out, err = invoke("solve", "--family", "hypercube", "-n", "3", "--budget", "0")
+    assert status == 3
+    assert (json.loads(out)["mode"], json.loads(out)["proven"]) == ("exhaustive", False)
+    assert "budget" in err
+
+
 @pytest.mark.parametrize("budget", ["nan", "-1", "-0.5"])
 def test_solve_rejects_a_malformed_budget_before_any_search(budget, monkeypatch):
     def no_search(*args):
