@@ -194,6 +194,7 @@ def _cmd_table(args, out, err) -> int:
         for m in ms:  # every m before any row is written
             _check_boundary_args(n, m)
     elif args.max_m is not None:
+        _check_boundary_args(n, min(args.max_m, size - 1))  # a MAX_M below 1 fails like --m
         ms = range(1, min(args.max_m, size - 1) + 1)
     elif n <= FULL_TABLE_DIMENSION_LIMIT:
         ms = range(1, size)

@@ -52,8 +52,8 @@ class DimensionCapError(ValueError):
 
 
 def check_permutation(rows, size: int) -> np.ndarray:
-    """Return `rows`, a tree level's (count, size) array-like of permutations,
-    as a read-only int32 array; raise ValueError unless every row permutes
+    """Return a read-only int32 copy of `rows`, a tree level's (count, size)
+    array-like of permutations; raise ValueError unless every row permutes
     0..size-1 with integer (not bool) entries. One vectorized pass a level."""
     arr = np.asarray(rows)  # ragged rows raise ValueError here
     if arr.ndim != 2 or arr.shape[1] != size:
@@ -63,22 +63,13 @@ def check_permutation(rows, size: int) -> np.ndarray:
         raise ValueError("permutation entries must be integers")
     if arr.min() < 0 or arr.max() >= size:
         raise ValueError(f"permutation value out of range 0..{size - 1}")
-    arr = arr.astype(np.int32, copy=arr is rows and not _frozen(arr))
+    arr = arr.astype(np.int32)  # a copy: no later write to `rows` reaches a tree
     seen = np.zeros(arr.shape, dtype=bool)
     np.put_along_axis(seen, arr, True, axis=1)
     if not seen.all():
         raise ValueError(f"permutation row {np.argmin(seen.all(axis=1))} repeats a value")
     arr.setflags(write=False)
     return arr
-
-
-def _frozen(arr: np.ndarray) -> bool:
-    """Whether `arr` may be held uncopied: it and every array down its base
-    chain are read-only, to one that owns its memory. A read-only view or
-    broadcast of a writable array is not frozen."""
-    while isinstance(arr, np.ndarray) and not arr.flags.writeable:
-        arr = arr.base
-    return arr is None
 
 
 def _check_cap(dimension: int, cap: int) -> None:
@@ -97,8 +88,8 @@ class Graph:
     """Immutable undirected graph on vertex ids 0..N-1.
 
     Edges are held as a read-only (M, 2) int64 array with u < v in each row,
-    rows sorted lexicographically. No self-loops, no duplicates. An int64
-    array is held uncopied only when no writable array shares its memory.
+    rows sorted lexicographically. No self-loops, no duplicates. A given
+    array is copied; `_adopt` holds an array the library made uncopied.
     """
 
     __slots__ = ("vertex_count", "_edges")
@@ -109,35 +100,19 @@ class Graph:
             raise ValueError("vertex_count must be positive")
         raw = edges if isinstance(edges, np.ndarray) else np.array(list(edges))
         if raw.size == 0:
-            arr = np.empty((0, 2), dtype=np.int64)
-        else:
-            if raw.ndim != 2 or raw.shape[1] != 2:
-                raise ValueError("edges must be pairs of vertex ids")
-            if not np.issubdtype(raw.dtype, np.integer):
-                raise ValueError("edge endpoints must be integers")
-            # copy only an array the caller can still write to
-            arr = raw.astype(np.int64, copy=raw is edges and not _frozen(raw))
-            lo, hi = arr[:, 0], arr[:, 1]
-            if arr.min() < 0 or arr.max() >= vertex_count:
-                raise ValueError("edge endpoint out of range")
-            if (lo == hi).any():
-                raise ValueError("self-loops are not allowed")
-            if (lo > hi).any():
-                arr = np.sort(arr, axis=1)
-                lo, hi = arr[:, 0], arr[:, 1]
-            # materialized graphs and saved edge lists arrive sorted
-            if not _strictly_increasing(lo, hi):
-                arr = arr[np.lexsort((hi, lo))]
-                if not _strictly_increasing(arr[:, 0], arr[:, 1]):
-                    raise ValueError("duplicate edges are not allowed")
+            raw = np.empty((0, 2), dtype=np.int64)
+        if raw.ndim != 2 or raw.shape[1] != 2:
+            raise ValueError("edges must be pairs of vertex ids")
+        if not np.issubdtype(raw.dtype, np.integer):
+            raise ValueError("edge endpoints must be integers")
+        arr = _canonical_edges(vertex_count, raw.astype(np.int64, copy=raw is edges))
         arr.setflags(write=False)
         self.vertex_count = vertex_count
         self._edges = arr
 
     @classmethod
     def _adopt(cls, vertex_count: int, edges: np.ndarray) -> Graph:
-        """A graph holding `edges`, frozen, with none of __init__'s checks:
-        for an edge array that is canonical by construction."""
+        """A frozen graph holding `edges`, unchecked: for canonical rows the library made."""
         graph = object.__new__(cls)
         edges.setflags(write=False)
         graph.vertex_count = vertex_count
@@ -181,6 +156,24 @@ class Graph:
         return f"Graph(vertex_count={self.vertex_count}, edge_count={self.edge_count})"
 
 
+def _canonical_edges(vertex_count: int, arr: np.ndarray) -> np.ndarray:
+    """The canonical rows of an (M, 2) int64 array no one else holds, after Graph's checks."""
+    lo, hi = arr[:, 0], arr[:, 1]
+    if len(arr) and (arr.min() < 0 or arr.max() >= vertex_count):
+        raise ValueError("edge endpoint out of range")
+    if (lo == hi).any():
+        raise ValueError("self-loops are not allowed")
+    if (lo > hi).any():
+        arr = np.sort(arr, axis=1)
+        lo, hi = arr[:, 0], arr[:, 1]
+    # materialized graphs and saved edge lists arrive sorted
+    if not _strictly_increasing(lo, hi):
+        arr = arr[np.lexsort((hi, lo))]
+        if not _strictly_increasing(arr[:, 0], arr[:, 1]):
+            raise ValueError("duplicate edges are not allowed")
+    return arr
+
+
 def _strictly_increasing(lo: np.ndarray, hi: np.ndarray) -> bool:
     """Whether the rows (lo[i], hi[i]) increase strictly in (lo, hi) order.
     Compares the columns, as a packed key could overflow int64."""
@@ -194,7 +187,7 @@ class ConstructionTree:
     2..n, `levels[d - 2]` holds read-only arrays (phis, which) of permutation
     rows, (rows, 2**(d-1)) int32, and of the row of each level-d block. Block
     b joins blocks 2b and 2b + 1 below with v -> phis[which[b]][v]. Shared
-    subtrees share rows; every row is checked to be a permutation."""
+    subtrees share rows. Given rows are copied and checked to be permutations."""
 
     dimension: int
     levels: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
@@ -218,6 +211,15 @@ class ConstructionTree:
             levels.append((phis, which))
         object.__setattr__(self, "levels", tuple(levels))
 
+    @classmethod
+    def _adopt(cls, dimension: int, levels) -> ConstructionTree:
+        """A frozen tree holding `levels`, unchecked: for rows the library made."""
+        tree = object.__new__(cls)
+        for array in chain.from_iterable(levels):
+            array.setflags(write=False)
+        tree.__dict__.update(dimension=dimension, levels=tuple(levels))
+        return tree
+
     @property
     def phi(self) -> tuple[int, ...]:
         """The top permutation, as a tuple of ints."""
@@ -237,7 +239,7 @@ class ConstructionTree:
 
 class Node:
     """`Node(left, right, phi)` is the construction tree joining two trees of
-    equal dimension with the matching v -> phi[v] + half."""
+    equal dimension with the matching v -> phi[v] + half; only `phi` is checked."""
 
     def __new__(cls, left: ConstructionTree, right: ConstructionTree, phi) -> ConstructionTree:
         if left.dimension != right.dimension:
@@ -246,8 +248,8 @@ class Node:
             (np.concatenate([lp, rp]), np.concatenate([lw, rw.astype(np.intp) + len(lp)]))
             for (lp, lw), (rp, rw) in zip(left.levels, right.levels)
         ]
-        levels.append(([phi], [0]))
-        return ConstructionTree(left.dimension + 1, tuple(levels))
+        levels.append((check_permutation([phi], 1 << left.dimension), np.zeros(1, np.intp)))
+        return ConstructionTree._adopt(left.dimension + 1, levels)
 
 
 @dataclass(frozen=True)
@@ -314,7 +316,7 @@ def materialize(tree: ConstructionTree) -> Graph:
 
     Writes the canonical rows a window at a time (`_canonical_windows`), so
     the graph adopts them without Graph's sort and checks: every tree row is
-    a checked permutation, and the module docstring proves the order.
+    a permutation, and the module docstring proves the order.
     Raises DimensionCapError above MAX_DIMENSION_CAP; a smaller cap is the
     caller's.
     """

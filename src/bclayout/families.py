@@ -96,7 +96,7 @@ def build_tree(spec: FamilySpec, *, cap: int = DEFAULT_DIMENSION_CAP) -> Constru
     n = spec.dimension
     seed = check_spec(spec, cap=cap)
     if spec.kind == "random":
-        return ConstructionTree(n, tuple(_random_levels(n, seed)))
+        return ConstructionTree._adopt(n, _random_levels(n, seed))
     levels = []
     for d in range(2, n + 1):
         x = np.arange(1 << (d - 1), dtype=np.int32)
@@ -108,10 +108,8 @@ def build_tree(spec: FamilySpec, *, cap: int = DEFAULT_DIMENSION_CAP) -> Constru
             rows, which[1::2] = [x, x[::-1]], 1
         else:
             rows = [x[::-1] if spec.kind == "mobius-1" else x]
-        rows = np.array(rows)
-        rows.setflags(write=False)  # so check_permutation adopts it uncopied
-        levels.append((rows, which))
-    return ConstructionTree(n, tuple(levels))
+        levels.append((np.array(rows), which))
+    return ConstructionTree._adopt(n, levels)
 
 
 def check_spec(spec: FamilySpec, *, cap: int = DEFAULT_DIMENSION_CAP) -> int | None:

@@ -32,7 +32,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .core import BcGraph, ConstructionTree, Graph
+from .core import BcGraph, ConstructionTree, Graph, _canonical_edges
 from .isoperimetric import edge_boundary, max_induced_edges
 from .layout import LayoutReport, LinearArrangement
 
@@ -280,7 +280,6 @@ def _bulk_graph_json(text: str):
         return None
     if rows is not None and data.get("tree") != []:
         return None
-    nums.setflags(write=False)  # so Graph adopts it without a copy
     return data, nums.reshape(-1, 2), rows
 
 
@@ -318,14 +317,15 @@ def _graph_document(data, edge_array=None, tree_rows=None) -> GraphDocument:
     edges = data.get("edges")
     if not isinstance(edges, list):
         raise ValueError("'edges' must be an array of pairs")
-    if edge_array is None:
+    if edge_array is not None:  # the bulk path's own int64 rows: checked, held uncopied
+        graph = Graph._adopt(1 << dimension, _canonical_edges(1 << dimension, edge_array))
+    else:
         try:  # an entry that is not a pair stops the scan; Graph names that error
             if bool in map(type, chain.from_iterable(edges)):
                 raise ValueError("edge endpoints must be integers, not bool")
         except TypeError:
             pass
-        edge_array = edges
-    graph = Graph(1 << dimension, edge_array)
+        graph = Graph(1 << dimension, edges)
     tree = None
     if tree_rows is not None:
         tree = _tree_from_rows(tree_rows)

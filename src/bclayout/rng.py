@@ -125,20 +125,19 @@ def shuffle_rows(draws: np.ndarray) -> np.ndarray:
     """Descending Fisher-Yates shuffles of 0..size-1, one per row of the
     (count, size - 1) array `draws`: entry t is the randbelow draw that
     `shuffle` swaps with index size - 1 - t. Returns the permutations as a
-    read-only (count, size) int32 array."""
+    (count, size) int32 array."""
     count, steps = draws.shape
     size = steps + 1
     if count < _BATCH_ROWS:
         perms = _replay(draws)
     else:
-        perms = np.empty((count, size), dtype=np.int32)  # owns its memory
+        perms = np.empty((count, size), dtype=np.int32)
         perms[:] = np.arange(size, dtype=np.int32)
         draws = draws.astype(np.intp)
         rows = np.arange(count)
         for t in range(steps):
             i, j = size - 1 - t, draws[:, t]
             perms[rows, i], perms[rows, j] = perms[rows, j], perms[rows, i]
-    perms.setflags(write=False)
     return perms
 
 
@@ -187,5 +186,4 @@ def _replay(draws: np.ndarray) -> np.ndarray:
     jumped[step] = received
     perms = jumped.reshape(count, size)
     perms -= offset.astype(np.int32)
-    jumped.setflags(write=False)  # so the frozen view is adopted uncopied
     return perms

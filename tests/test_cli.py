@@ -106,11 +106,17 @@ def test_table_large_dimension_needs_row_selection():
     assert len(out.splitlines()) == 5
 
 
-@pytest.mark.parametrize("ms", ["1,9", "9", "1,0", "0", "2,-1", "8,7,6,5,4,3,2,1,9"])
-def test_table_rejects_a_bad_m_before_writing(tmp_path, ms):
+BAD_MS = [("--m", m) for m in ("1,9", "9", "1,0", "0", "2,-1", "8,7,6,5,4,3,2,1,9")]
+BAD_MS += [("--max-m", "0"), ("--max-m", "-2")]
+
+
+@pytest.mark.parametrize(
+    "option, ms", BAD_MS, ids=[m if o == "--m" else f"{o}={m}" for o, m in BAD_MS]
+)
+def test_table_rejects_a_bad_m_before_writing(tmp_path, option, ms):
     path = tmp_path / "t.csv"
     for output in ([], ["-o", str(path)]):
-        status, out, err = invoke("table", "-n", "3", "--m", ms, *output)
+        status, out, err = invoke("table", "-n", "3", option, ms, *output)
         assert (status, out) == (2, "")
         assert err.startswith("error: m must be in 1..2**3, got ")
     assert not path.exists()

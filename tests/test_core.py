@@ -133,15 +133,45 @@ def test_edge_array_is_read_only():
         g.edge_array[0, 0] = 2
 
 
-def test_graph_adopts_only_frozen_arrays():
-    frozen = np.array([[0, 1], [0, 2], [1, 3]], dtype=np.int64)
+def test_graph_copies_every_array_it_is_given():
+    writable = np.array([[0, 1], [0, 2], [1, 3]], dtype=np.int64)
+    frozen = writable.copy()
     frozen.setflags(write=False)
-    assert np.shares_memory(Graph(4, frozen).edge_array, frozen)
-    writable = frozen.copy()
+    for edges in (writable, frozen):
+        assert not np.shares_memory(Graph(4, edges).edge_array, edges)
     g = Graph(4, writable)
-    assert not np.shares_memory(g.edge_array, writable)
     writable[0] = (2, 3)
     assert g.edge_array.tolist() == [[0, 1], [0, 2], [1, 3]]
+
+
+def frozen_after_a_view(a):
+    """`a`, frozen, and a writable view of it made before it was frozen."""
+    view = a[:]
+    a.setflags(write=False)
+    return a, view
+
+
+def test_graph_copies_a_frozen_array_with_an_earlier_writable_view():
+    edges, view = frozen_after_a_view(np.array([[0, 1], [0, 2]], dtype=np.int64))
+    g = Graph(3, edges)
+    view[1] = (2, 2)
+    assert g.edge_array.tolist() == [[0, 1], [0, 2]]
+
+
+def test_tree_copies_a_frozen_level_with_an_earlier_writable_view():
+    phis, view = frozen_after_a_view(np.array([[0, 1]], dtype=np.int32))
+    tree = ConstructionTree(2, ((phis, [0]),))
+    view[0] = (1, 1)
+    assert tree.phi == (0, 1)
+    assert materialize(tree).degrees().tolist() == [2, 2, 2, 2]
+
+
+def test_node_copies_a_frozen_phi_with_an_earlier_writable_view():
+    phi, view = frozen_after_a_view(np.array([1, 0], dtype=np.int32))
+    tree = Node(LEAF, LEAF, phi)
+    view[:] = (1, 1)
+    assert tree.phi == (1, 0)
+    assert materialize(tree).degrees().tolist() == [2, 2, 2, 2]
 
 
 def frozen_view(a):

@@ -9,9 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bclayout import (
+    KINDS,
     DimensionCapError,
     FamilySpec,
     Graph,
+    Node,
     build_family,
     brute_force_tables,
     edge_boundary,
@@ -23,6 +25,7 @@ from bclayout import (
     validate,
 )
 from bclayout import cli, families
+from bclayout.core import check_permutation
 from bclayout.formats import GraphDocument, dump_graph_json, load_graph_json
 from bclayout.rng import _GAMMA, _MIX1, _MIX2, SplitMix64, bounded_draws
 from reference import build, recursive_edges, scalar_tree
@@ -144,6 +147,23 @@ def test_random_bc_validates_and_matches_across_halves(n, seed):
     cross = [(u, v) for u, v in bc.graph.iter_edges() if u < half <= v]
     assert sorted(u for u, _ in cross) == list(range(half))
     assert sorted(v for _, v in cross) == list(range(half, 2 * half))
+
+
+def test_built_tree_rows_are_read_only_int32_permutations():
+    """Trees the library builds hold their rows unchecked, so every level is
+    checked here: each structured kind at n = 1..14, random members at n =
+    1..12, and a join of two of them."""
+    specs = [FamilySpec(kind, n) for kind in KINDS if kind != "random" for n in range(1, 15)]
+    specs += [FamilySpec("random", n, s) for n in range(1, 13) for s in (0, 1, 2**64 - 1)]
+    trees = [families.build_tree(spec) for spec in specs]
+    trees.append(Node(trees[-1], families.build_tree(FamilySpec("mobius-1", 12)), range(4096)))
+    for tree in trees:
+        assert len(tree.levels) == tree.dimension - 1
+        for d, (phis, which) in enumerate(tree.levels, start=2):
+            assert phis.dtype == np.int32 and not phis.flags.writeable
+            assert not which.flags.writeable and which.shape == (1 << (tree.dimension - d),)
+            assert 0 <= which.min() <= which.max() < len(phis)
+            check_permutation(phis, 1 << (d - 1))
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))

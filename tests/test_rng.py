@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bclayout.core import check_permutation
+from bclayout import FamilySpec, families
 from bclayout.rng import _GAMMA, SplitMix64, bounded_draws, shuffle_rows
 
 # Published SplitMix64 reference outputs for seed 0; any change to the
@@ -137,8 +137,24 @@ def test_shuffle_rows_matches_permutation(count, size):
     expected = [list(rng.permutation(size)) for _ in range(count)]
     perms = shuffle_rows(np.array(draws, dtype=np.uint64))
     assert perms.tolist() == expected
-    assert perms.dtype == np.int32 and not perms.flags.writeable
-    assert check_permutation(perms, size) is perms  # a tree adopts it uncopied
+    assert perms.dtype == np.int32
+
+
+@pytest.mark.parametrize("n", [2, 7, 11])  # n = 11 has levels of 64 rows and more
+def test_random_tree_holds_the_shuffle_rows_output(n, monkeypatch):
+    """A random member's tree adopts each level's shuffles uncopied."""
+    made = []
+
+    def recorded(draws):
+        made.append(shuffle_rows(draws))
+        return made[-1]
+
+    monkeypatch.setattr(families, "shuffle_rows", recorded)
+    levels = families.build_tree(FamilySpec("random", n, 3)).levels
+    kept = made[-len(levels) :]
+    assert len(kept) == n - 1
+    for (phis, _), perms in zip(levels, kept):
+        assert phis is perms
 
 
 def _swaps(draws, size):
