@@ -191,6 +191,8 @@ def _cmd_table(args, out, err) -> int:
     size = 1 << n
     if args.m is not None:
         ms = [int(tok) for tok in args.m.split(",") if tok.strip()]
+        if not ms:
+            raise ValueError(f"m must be in 1..2**{n}, got no value")
         for m in ms:  # every m before any row is written
             _check_boundary_args(n, m)
     elif args.max_m is not None:

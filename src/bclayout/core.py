@@ -51,16 +51,29 @@ class DimensionCapError(ValueError):
     """Materializing this dimension would exceed the configured cap."""
 
 
+def _integers(values, message: str) -> np.ndarray:
+    """`values` as an array, not copied if it is one. Raise ValueError(message)
+    unless every entry is an integer: an integer dtype (an empty array has no
+    entries), and in a list no Python or numpy bool, which numpy reads as 1 or
+    0 beside ints. Ragged lists raise numpy's own ValueError."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(message)
+    if arr.ndim and arr is not values:  # one C-level pass over the entries' types
+        for _ in range(arr.ndim - 1):
+            values = chain.from_iterable(values)
+        if not {bool, np.bool_}.isdisjoint(map(type, values)):
+            raise ValueError(message)
+    return arr
+
+
 def check_permutation(rows, size: int) -> np.ndarray:
     """Return a read-only int32 copy of `rows`, a tree level's (count, size)
     array-like of permutations; raise ValueError unless every row permutes
     0..size-1 with integer (not bool) entries. One vectorized pass a level."""
-    arr = np.asarray(rows)  # ragged rows raise ValueError here
+    arr = _integers(rows, "permutation entries must be integers")
     if arr.ndim != 2 or arr.shape[1] != size:
         raise ValueError(f"expected permutations of {size} elements, got shape {arr.shape}")
-    scan = () if arr is rows else chain.from_iterable(rows)  # bools hide in int lists
-    if arr.dtype.kind not in "iu" or bool in map(type, scan):
-        raise ValueError("permutation entries must be integers")
     if arr.min() < 0 or arr.max() >= size:
         raise ValueError(f"permutation value out of range 0..{size - 1}")
     arr = arr.astype(np.int32)  # a copy: no later write to `rows` reaches a tree
@@ -98,13 +111,12 @@ class Graph:
         vertex_count = operator.index(vertex_count)
         if vertex_count < 1:
             raise ValueError("vertex_count must be positive")
-        raw = edges if isinstance(edges, np.ndarray) else np.array(list(edges))
+        edges = edges if isinstance(edges, np.ndarray) else list(edges)
+        raw = _integers(edges, "edge endpoints must be integers")
         if raw.size == 0:
             raw = np.empty((0, 2), dtype=np.int64)
         if raw.ndim != 2 or raw.shape[1] != 2:
             raise ValueError("edges must be pairs of vertex ids")
-        if not np.issubdtype(raw.dtype, np.integer):
-            raise ValueError("edge endpoints must be integers")
         arr = _canonical_edges(vertex_count, raw.astype(np.int64, copy=raw is edges))
         arr.setflags(write=False)
         self.vertex_count = vertex_count
@@ -202,11 +214,10 @@ class ConstructionTree:
                 phis = check_permutation(phis, 1 << (d - 1))
             except ValueError as exc:
                 raise ValueError(f"tree level {d}: {exc}") from exc
-            which = np.array(which)
-            if which.shape != (1 << (n - d),) or which.dtype.kind not in "iu" or not (
-                0 <= which.min() <= which.max() < len(phis)
-            ):
-                raise ValueError(f"tree level {d} needs a row index per block")
+            message = f"tree level {d} needs a row index per block"
+            which = _integers(which, message).astype(np.intp)  # a copy
+            if which.shape != (1 << (n - d),) or not 0 <= which.min() <= which.max() < len(phis):
+                raise ValueError(message)
             which.setflags(write=False)
             levels.append((phis, which))
         object.__setattr__(self, "levels", tuple(levels))

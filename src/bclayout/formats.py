@@ -27,8 +27,8 @@ import functools
 import json
 import re
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import IO, Iterable
+from itertools import repeat
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -104,6 +104,7 @@ _INT = r"(?:0|[1-9][0-9]{0,17})"
 _EDGES = re.compile(rf'"edges":(\[(?:\[{_INT},{_INT}\](?:,\[{_INT},{_INT}\])*+)?\])')
 _PHI = re.compile(rf'"phi":\[({_INT}(?:,{_INT})*+)\]')
 _NO_BRACKETS = str.maketrans("", "", "[]")
+_PAIR = re.compile(r"(-?[0-9]+)\s+(-?[0-9]+)")  # a line of the edge-list and arrangement texts
 # integers per write: cut counts, or the values of edge rows, arrangement
 # lines or a level of a subtree's phi rows (at most this many leaves); at up
 # to 8 digits a value, a block's word grid stays below 64 KB, well under
@@ -320,11 +321,6 @@ def _graph_document(data, edge_array=None, tree_rows=None) -> GraphDocument:
     if edge_array is not None:  # the bulk path's own int64 rows: checked, held uncopied
         graph = Graph._adopt(1 << dimension, _canonical_edges(1 << dimension, edge_array))
     else:
-        try:  # an entry that is not a pair stops the scan; Graph names that error
-            if bool in map(type, chain.from_iterable(edges)):
-                raise ValueError("edge endpoints must be integers, not bool")
-        except TypeError:
-            pass
         graph = Graph(1 << dimension, edges)
     tree = None
     if tree_rows is not None:
@@ -349,19 +345,21 @@ def load_edge_list(fp: Iterable[str]) -> Graph:
     lines = [line for line in map(str.strip, fp) if line]
     if not lines:
         raise ValueError("empty edge-list file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError("edge-list header must be 'N M'")
-    n, m = (int(tok) for tok in header)
+    n, m = next(_int_pairs(lines[:1], "edge-list header must be 'N M'"))
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed edge line: {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    return Graph(n, edges)
+    return Graph(n, list(_int_pairs(lines[1:], "malformed edge line: {!r}")))
+
+
+def _int_pairs(lines: Iterable[str], message: str) -> Iterator[tuple[int, int]]:
+    """The two ASCII decimal integers `-?[0-9]+` of each stripped line, or
+    ValueError(message.format(line)): `int` alone reads `+2`, `1_0`, non-ASCII digits."""
+    for line in lines:
+        match = _PAIR.fullmatch(line)
+        if match is None:
+            raise ValueError(message.format(line))
+        u, v = match.groups()
+        yield int(u), int(v)
 
 
 def dump_arrangement(arrangement: LinearArrangement, fp: IO[str]) -> None:
@@ -375,11 +373,7 @@ def dump_arrangement(arrangement: LinearArrangement, fp: IO[str]) -> None:
 
 def load_arrangement(fp: IO[str]) -> LinearArrangement:
     pairs: dict[int, int] = {}
-    for line in filter(None, map(str.strip, fp)):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed arrangement line: {line!r}")
-        v, p = int(parts[0]), int(parts[1])
+    for v, p in _int_pairs(filter(None, map(str.strip, fp)), "malformed arrangement line: {!r}"):
         if v in pairs:
             raise ValueError(f"vertex {v} listed twice")
         pairs[v] = p

@@ -28,6 +28,7 @@ from .core import (
     ConstructionTree,
     Graph,
     _check_cap,
+    _integers,
 )
 from . import isoperimetric
 from .rng import SplitMix64
@@ -52,17 +53,8 @@ class LinearArrangement:
     __slots__ = ("_positions",)
 
     def __init__(self, positions):
-        if isinstance(positions, np.ndarray):
-            kinds = {positions.dtype.type}
-        else:
-            positions = list(positions)
-            kinds = set(map(type, positions))
-        if any(k is bool or not issubclass(k, (int, np.integer)) for k in kinds):
-            raise ValueError("positions must be integers")
-        try:
-            arr = np.array(positions, dtype=np.int64)
-        except OverflowError as exc:
-            raise ValueError(f"positions must lie in 1..{len(positions)}") from exc
+        positions = positions if isinstance(positions, np.ndarray) else list(positions)
+        arr = _integers(positions, "positions must be integers").astype(np.int64)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("positions must be a non-empty sequence")
         n = arr.size

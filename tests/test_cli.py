@@ -107,7 +107,7 @@ def test_table_large_dimension_needs_row_selection():
 
 
 BAD_MS = [("--m", m) for m in ("1,9", "9", "1,0", "0", "2,-1", "8,7,6,5,4,3,2,1,9")]
-BAD_MS += [("--max-m", "0"), ("--max-m", "-2")]
+BAD_MS += [("--max-m", "0"), ("--max-m", "-2"), ("--m", ","), ("--m", "")]
 
 
 @pytest.mark.parametrize(
@@ -119,6 +119,33 @@ def test_table_rejects_a_bad_m_before_writing(tmp_path, option, ms):
         status, out, err = invoke("table", "-n", "3", option, ms, *output)
         assert (status, out) == (2, "")
         assert err.startswith("error: m must be in 1..2**3, got ")
+    assert not path.exists()
+
+
+# integers a text file must not hold, each written for the digit 1 or 4;
+# `int` reads all but the last two as that digit
+NON_DECIMAL = [lambda d: f"+{d}", lambda d: f"0_{d}", lambda d: chr(0x660 + d),
+               lambda d: f"{d}.0", lambda d: f"0x{d}"]
+EDGE_LIST, IDENTITY = "4 4\n0 1\n0 2\n1 3\n2 3\n", "0 1\n1 2\n2 3\n3 4\n"
+
+
+@pytest.mark.parametrize("token", NON_DECIMAL, ids=[t(1) for t in NON_DECIMAL])
+@pytest.mark.parametrize("place", ["header", "edge", "arrangement"])
+def test_a_non_decimal_integer_exits_2_before_writing(tmp_path, place, token):
+    graph, arrangement, path = tmp_path / "g.edges", tmp_path / "f.txt", tmp_path / "out"
+    graph.write_text(EDGE_LIST.replace("4 4", f"{token(4)} 4") if place == "header" else
+                     EDGE_LIST.replace("0 1", f"0 {token(1)}") if place == "edge" else EDGE_LIST)
+    arrangement.write_text(IDENTITY.replace("0 1", f"0 {token(1)}")
+                           if place == "arrangement" else IDENTITY)
+    error = {"header": "edge-list header must be 'N M'", "edge": "malformed edge line: ",
+             "arrangement": "malformed arrangement line: "}[place]
+    commands = [["eval", "-g", str(graph), "-a", str(arrangement)]]
+    commands += [["solve", "-i", str(graph)]] if place != "arrangement" else []
+    for argv in commands:
+        for output in ([], ["-o", str(path)]):
+            status, out, err = invoke(*argv, *output)
+            assert (status, out) == (2, "")
+            assert err.startswith(f"error: {error}")
     assert not path.exists()
 
 

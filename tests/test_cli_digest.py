@@ -1,10 +1,12 @@
-"""tools/cli_digest.py on the matrix's first two dimensions."""
+"""tools/cli_digest.py on the matrix's first two dimensions and its
+rejection matrix."""
 
 import hashlib
 import importlib.util
 import io
 import os
 import re
+import tempfile
 
 from bclayout import cli
 
@@ -18,14 +20,16 @@ def test_lines_are_deterministic_and_digest_the_output():
     lines = list(cli_digest.lines(range(1, 3)))
     assert lines == list(cli_digest.lines(range(1, 3)))  # a new temporary directory
     # per member: five commands, six on files and solve; six members a dimension
-    assert len(lines) == 2 * 6 * 12
+    rejected = lines[2 * 6 * 12 :]
+    assert rejected == list(cli_digest.lines(range(0)))  # the rejection matrix alone
+    assert len(rejected) == 2 * (4 * 8 + 2 * 8 + 2 * 7 + 4)
     assert all(re.fullmatch(r"[0-9a-f]{64} [0-3] \S.*", line) for line in lines)
     assert all("$TMP/" in line for line in lines if " -o " in line or " -i " in line)
     out = io.StringIO()
     assert cli.run(["build", "--family", "hypercube", "-n", "2"], stdout=out) == 0
     sha = hashlib.sha256(out.getvalue().encode() + b"\0").hexdigest()
     assert f"{sha} 0 build --family hypercube -n 2" in lines
-    solved = [line for line in lines if " solve " in line]
+    solved = [line for line in lines[: 2 * 6 * 12] if " solve " in line]
     assert len(solved) == 12 and all(line.split()[1] == "0" for line in solved)
 
 
@@ -38,3 +42,27 @@ def test_solve_is_digested_without_its_timing_line():
         hashlib.sha256(out.getvalue().encode()).hexdigest(),
         0,
     )
+
+
+def test_every_rejection_exits_2_and_writes_nothing():
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv, with_stderr in cli_digest.rejections(tmp):
+            out, err = io.StringIO(), io.StringIO()
+            assert (cli.run(argv, stdout=out, stderr=err), out.getvalue()) == (2, ""), argv
+            assert err.getvalue().startswith("error: ") and with_stderr
+            assert "-o" not in argv or not os.path.exists(argv[-1])
+    # a command and its `-o` twin digest alike: the same error, no file
+    lines = list(cli_digest.lines(range(0)))
+    assert all(line.split()[1] == "2" for line in lines)
+    assert [line.split()[0] for line in lines[::2]] == [line.split()[0] for line in lines[1::2]]
+    assert all(" -o $TMP/rejected-" in line for line in lines[1::2])
+
+
+def test_solve_rejections_digest_standard_error_without_the_search_time(monkeypatch):
+    def run(argv, stdout, stderr):
+        stderr.write("search took 0.123s\nerror: x\n")
+        return 2
+
+    monkeypatch.setattr(cli_digest.cli, "run", run)
+    expected = hashlib.sha256(b"\0error: x\n").hexdigest(), 2
+    assert cli_digest.digest(["solve", "-i", "g"], True, "tmp") == expected

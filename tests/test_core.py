@@ -12,6 +12,7 @@ from bclayout import (
     ConstructionTree,
     DimensionCapError,
     Graph,
+    LinearArrangement,
     MAX_DIMENSION_CAP,
     Node,
     bc_arrangement,
@@ -267,6 +268,61 @@ def test_construction_tree_checks_its_levels():
     assert [len(phis) for phis, _ in hypercube(3).tree.levels] == [1, 1]
     assert q3 != Node(Node(LEAF, LEAF, (0, 1)), Node(LEAF, LEAF, (1, 0)), range(4))
     assert q3 != LEAF
+
+
+# Outside integers: each target builds from a valid nested list of ints,
+# and must refuse any entry that is not an integer with its own message.
+INTEGER_TARGETS = {
+    "Graph": (lambda e: Graph(3, e), [[0, 1], [1, 2]], "edge endpoints must be integers"),
+    "check_permutation": (
+        lambda r: check_permutation(r, 2), [[1, 0]], "permutation entries must be integers"
+    ),
+    "Node-phi": (lambda p: Node(LEAF, LEAF, p), [1, 0], "permutation entries must be integers"),
+    "tree-which": (
+        lambda w: ConstructionTree(3, (([[0, 1]], w), ([[0, 1, 2, 3]], [0]))),
+        [0, 0],
+        "tree level 2 needs a row index per block",
+    ),
+    "LinearArrangement": (LinearArrangement, [2, 1], "positions must be integers"),
+}
+NON_INTEGERS = {
+    "bool": bool,
+    "np.bool_": np.bool_,
+    "float": float,
+    "above-int64": lambda x: x + 2**64,
+    "str": str,
+}
+
+
+def _first_entry(values, kind):
+    """`values` with its first scalar entry made a `kind`: a list form."""
+    head, *rest = values
+    return [_first_entry(head, kind) if isinstance(head, list) else kind(head), *rest]
+
+
+def _every_entry(values, kind):
+    """The array numpy makes of `values` with every entry made a `kind`."""
+    return np.array([_every_entry(v, kind) if isinstance(v, list) else kind(v) for v in values])
+
+
+@pytest.mark.parametrize("target", INTEGER_TARGETS)
+def test_integer_targets_accept_every_integer_form(target):
+    build, values, _ = INTEGER_TARGETS[target]
+    build(values)
+    build(np.array(values, dtype=np.uint8))
+    build(np.array(values, dtype=np.int64))
+    build(_first_entry(values, np.int64))
+
+
+@pytest.mark.parametrize("form", ["list", "array"])
+@pytest.mark.parametrize("kind", NON_INTEGERS)
+@pytest.mark.parametrize("target", INTEGER_TARGETS)
+def test_integer_targets_refuse_every_non_integer(target, kind, form):
+    build, values, message = INTEGER_TARGETS[target]
+    make = _first_entry if form == "list" else _every_entry
+    bad = make(values, NON_INTEGERS[kind])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(bad)
 
 
 def test_node_rejects_dimension_mismatch():

@@ -160,6 +160,29 @@ def test_edge_list_rejects_malformed():
         load_edge_list(io.StringIO("3 2\n0 1\n"))  # header promises two edges
 
 
+@pytest.mark.parametrize("token", ["+1", "0_1", "\u0661", "1.0", "0x1", "1e0", "--1", "-", "True"])
+def test_text_integers_are_ascii_decimal(token):
+    with pytest.raises(ValueError, match="^malformed edge line: "):
+        load_edge_list(io.StringIO(f"2 1\n0 {token}\n"))
+    with pytest.raises(ValueError, match="^edge-list header must be 'N M'$"):
+        load_edge_list(io.StringIO(f"{token} 0\n"))
+    with pytest.raises(ValueError, match="^malformed arrangement line: "):
+        load_arrangement(io.StringIO(f"0 {token}\n"))
+
+
+def test_text_integers_keep_their_range_messages():
+    # negative tokens parse, so the range checks name them
+    with pytest.raises(ValueError, match="^vertex_count must be positive$"):
+        load_edge_list(io.StringIO("-2 0\n"))
+    with pytest.raises(ValueError, match="^edge endpoint out of range$"):
+        load_edge_list(io.StringIO("2 1\n-1 1\n"))
+    with pytest.raises(ValueError, match=r"^positions must lie in 1\.\.2$"):
+        load_arrangement(io.StringIO("0 -1\n1 1\n"))
+    # leading zeros, a negative zero and any whitespace between the tokens read
+    assert load_edge_list(io.StringIO("02 1\n-0\t 001\n")) == Graph(2, [(0, 1)])
+    assert load_arrangement(io.StringIO("00  02\n1\t1\n")) == LinearArrangement([2, 1])
+
+
 def test_load_graph_any_sniffs_format():
     buf = io.StringIO()
     dump_graph_json(GraphDocument.from_bc(hypercube(2)), buf)

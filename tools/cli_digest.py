@@ -14,10 +14,17 @@ For every family kind at n = 1..12, the random family with seeds 1 and 2:
 - at n <= 4, `solve --family`, digesting standard output only, as standard
   error carries the search time.
 
+Then the rejection matrix, each command once to standard output and once
+with `-o`: malformed graph JSON (a bool, float, oversized or string edge
+endpoint or phi entry) through `certify -i`, `arrange -i`, `solve -i` and
+`eval -g`; edge lists and arrangements whose integers are not ASCII
+decimal, or not integers, through `solve -i` and `eval`; and `table` with
+an empty or out-of-range `--m` or `--max-m`. Every one should exit 2.
+
 The commands run in this process through `bclayout.cli.run`. A digest
-covers standard output, standard error and the file an `-o` command wrote,
-with the temporary directory's path replaced by `$TMP`, as it is in the
-printed argv. Exit status: 0.
+covers standard output, standard error (with any search time removed) and
+the file an `-o` command wrote, if any, with the temporary directory's path
+replaced by `$TMP`, as it is in the printed argv. Exit status: 0.
 """
 
 from __future__ import annotations
@@ -25,8 +32,10 @@ from __future__ import annotations
 import hashlib
 import io
 import os
+import re
 import sys
 import tempfile
+from itertools import chain
 from typing import Iterator
 
 from bclayout import cli
@@ -35,6 +44,29 @@ from bclayout.families import KINDS
 DIMENSIONS = range(1, 13)
 RANDOM_SEEDS = (1, 2)
 SOLVE_DIMENSIONS = range(1, 5)
+
+# the dimension-2 hypercube, with its tree, as an edge list and as the identity
+GRAPH = (
+    '{"dimension":2,"edges":[[0,1],[0,2],[1,3],[2,3]],'
+    '"tree":{"left":{"leaf":true},"right":{"leaf":true},"phi":[0,1]}}'
+)
+EDGES = "4 4\n0 1\n0 2\n1 3\n2 3\n"
+ARRANGEMENT = "0 1\n1 2\n2 3\n3 4\n"
+# (name, text): each replaces one integer of a valid file
+BIG = str(2**64 + 1)
+BAD_GRAPHS = [(f"edge-{name}", GRAPH.replace("[0,1],", f"[0,{bad}],")) for name, bad in (
+    ("bool", "true"), ("float", "1.0"), ("big", BIG), ("str", '"1"'))]
+BAD_GRAPHS += [(f"phi-{name}", GRAPH.replace('"phi":[0,1]', f'"phi":[{bad},1]')) for name, bad in (
+    ("bool", "false"), ("float", "0.0"), ("big", BIG), ("str", '"0"'))]
+TOKENS = (("plus", "+1"), ("underscore", "0_1"), ("arabic", "\u0661"), ("float", "1.0"),
+          ("bool", "True"), ("big", BIG))
+BAD_EDGES = [(f"row-{name}", EDGES.replace("0 1\n", f"0 {bad}\n")) for name, bad in TOKENS]
+BAD_EDGES += [("header-plus", EDGES.replace("4 4", "+4 4")),
+              ("header-arabic", EDGES.replace("4 4", "\u0664 4"))]
+BAD_ARRANGEMENTS = [(f"position-{name}", ARRANGEMENT.replace("0 1\n", f"0 {bad}\n"))
+                    for name, bad in TOKENS]
+BAD_ARRANGEMENTS += [("position-huge", ARRANGEMENT.replace("0 1\n", f"0 {2**70}\n"))]
+BAD_TABLES = [["--m", ","], ["--m="], ["--m", "0"], ["--max-m", "0"]]
 
 
 def members(dimensions=DIMENSIONS) -> Iterator[list[str]]:
@@ -69,23 +101,53 @@ def commands(tmp: str, dimensions=DIMENSIONS) -> Iterator[tuple[list[str], bool]
             yield ["solve", *family], False
 
 
+def rejections(tmp: str) -> Iterator[tuple[list[str], bool]]:
+    """(argv, True) of every command of the rejection matrix, after writing
+    its malformed files and the valid ones they are read beside."""
+    def write(name: str, text: str) -> str:
+        with open(os.path.join(tmp, name), "w", encoding="utf-8") as fp:
+            fp.write(text)
+        return os.path.join(tmp, name)
+
+    graph, edges = write("good.json", GRAPH), write("good.edges", EDGES)
+    arrangement = write("good.arr", ARRANGEMENT)
+    argvs = []
+    for name, text in BAD_GRAPHS:
+        path = write(f"{name}.json", text)
+        argvs += [["certify", "-i", path], ["arrange", "-i", path], ["solve", "-i", path],
+                  ["eval", "-g", path, "-a", arrangement]]
+    for name, text in BAD_EDGES:
+        path = write(f"{name}.edges", text)
+        argvs += [["solve", "-i", path], ["eval", "-g", path, "-a", arrangement]]
+    for name, text in BAD_ARRANGEMENTS:
+        path = write(f"{name}.arr", text)
+        argvs += [["eval", "-g", graph, "-a", path], ["eval", "-g", edges, "-a", path]]
+    argvs += [["table", "-n", "3", *option] for option in BAD_TABLES]
+    for i, argv in enumerate(argvs):
+        yield argv, True
+        yield [*argv, "-o", os.path.join(tmp, f"rejected-{i}.out")], True
+
+
 def digest(argv: list[str], with_stderr: bool, tmp: str) -> tuple[str, int]:
     """The sha256 of what `argv` wrote, and its exit status."""
     out, err = io.StringIO(), io.StringIO()
     status = cli.run(argv, stdout=out, stderr=err)
     h = hashlib.sha256(out.getvalue().replace(tmp, "$TMP").encode())
     if with_stderr:
-        h.update(b"\0" + err.getvalue().replace(tmp, "$TMP").encode())
-    if "-o" in argv:
-        with open(argv[argv.index("-o") + 1], "rb") as fp:
+        text = re.sub(r"search took \S+\n", "", err.getvalue())
+        h.update(b"\0" + text.replace(tmp, "$TMP").encode())
+    path = argv[argv.index("-o") + 1] if "-o" in argv else None
+    if path is not None and os.path.exists(path):
+        with open(path, "rb") as fp:
             h.update(b"\0" + fp.read())
     return h.hexdigest(), status
 
 
 def lines(dimensions=DIMENSIONS) -> Iterator[str]:
-    """One `sha256 exit argv` line per command of the matrix."""
+    """One `sha256 exit argv` line per command of the matrix, then of the
+    rejection matrix."""
     with tempfile.TemporaryDirectory() as tmp:
-        for argv, with_stderr in commands(tmp, dimensions):
+        for argv, with_stderr in chain(commands(tmp, dimensions), rejections(tmp)):
             sha, status = digest(argv, with_stderr, tmp)
             yield f"{sha} {status} {' '.join(argv).replace(tmp, '$TMP')}"
 
