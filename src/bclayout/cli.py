@@ -8,6 +8,8 @@ to standard output, diagnostics to standard error. Exit status: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextvars
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -29,20 +31,29 @@ from .layout import (
 # are actually writable; larger dimensions need --m or --max-m.
 FULL_TABLE_DIMENSION_LIMIT = 20
 
+# (stdout, stderr) of the `run` call in progress in this context; one
+# parser serves every call, so it reads its streams from here
+_STREAMS: contextvars.ContextVar = contextvars.ContextVar("bclayout_cli_streams")
 
-def _build_parser(out, err) -> argparse.ArgumentParser:
-    class Parser(argparse.ArgumentParser):  # subparsers take the same class
-        """Help goes to `out` and usage errors to `err`, not sys.stdout/stderr."""
 
-        def print_help(self, file=None):
-            super().print_help(file or out)
+class _Parser(argparse.ArgumentParser):  # subparsers take the same class
+    """Help goes to the `run` call's stdout and usage errors to its stderr,
+    not to sys.stdout/stderr."""
 
-        def error(self, message):
-            self.print_usage(err)
-            err.write(f"{self.prog}: error: {message}\n")
-            raise SystemExit(2)
+    def print_help(self, file=None):
+        super().print_help(file or _STREAMS.get((sys.stdout, sys.stderr))[0])
 
-    parser = Parser(
+    def error(self, message):
+        err = _STREAMS.get((sys.stdout, sys.stderr))[1]
+        self.print_usage(err)
+        err.write(f"{self.prog}: error: {message}\n")
+        raise SystemExit(2)
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `run` and kept for the process."""
+    parser = _Parser(
         prog="bclayout",
         description=(
             "Construct bijective-connection graphs, compute their "
@@ -190,9 +201,13 @@ def _cmd_table(args, out, err) -> int:
         raise ValueError("dimension must be positive")
     size = 1 << n
     if args.m is not None:
-        ms = [int(tok) for tok in args.m.split(",") if tok.strip()]
-        if not ms:
+        tokens = [tok.strip() for tok in args.m.split(",") if tok.strip()]
+        if not tokens:
             raise ValueError(f"m must be in 1..2**{n}, got no value")
+        for tok in tokens:
+            if not formats._DECIMAL.fullmatch(tok):  # as in the text formats
+                raise ValueError(f"m must be in 1..2**{n}, got {tok!r}")
+        ms = [int(tok) for tok in tokens]
         for m in ms:  # every m before any row is written
             _check_boundary_args(n, m)
     elif args.max_m is not None:
@@ -291,12 +306,14 @@ def run(argv, stdout=None, stderr=None) -> int:
     """Parse and execute one command; returns the exit status."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = _build_parser(out, err)
+    token = _STREAMS.set((out, err))
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0
+    finally:
+        _STREAMS.reset(token)
     try:
         return args.handler(args, out, err)
     except (DimensionCapError, EnumerationLimitError, SolverLimitError) as exc:

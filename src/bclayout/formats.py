@@ -104,7 +104,13 @@ _INT = r"(?:0|[1-9][0-9]{0,17})"
 _EDGES = re.compile(rf'"edges":(\[(?:\[{_INT},{_INT}\](?:,\[{_INT},{_INT}\])*+)?\])')
 _PHI = re.compile(rf'"phi":\[({_INT}(?:,{_INT})*+)\]')
 _NO_BRACKETS = str.maketrans("", "", "[]")
-_PAIR = re.compile(r"(-?[0-9]+)\s+(-?[0-9]+)")  # a line of the edge-list and arrangement texts
+# An integer of the edge-list and arrangement texts and of `table --m`
+_DECIMAL = re.compile(r"-?[0-9]+")
+# A line of those texts. A token has at most 640 digits, the least limit
+# int() can be set to convert, so every token that matches converts.
+_PAIR = re.compile(r"(-?[0-9]{1,640})\s+(-?[0-9]{1,640})")
+# characters of a malformed line that its error message shows
+_SHOWN = 60
 # integers per write: cut counts, or the values of edge rows, arrangement
 # lines or a level of a subtree's phi rows (at most this many leaves); at up
 # to 8 digits a value, a block's word grid stays below 64 KB, well under
@@ -352,12 +358,14 @@ def load_edge_list(fp: Iterable[str]) -> Graph:
 
 
 def _int_pairs(lines: Iterable[str], message: str) -> Iterator[tuple[int, int]]:
-    """The two ASCII decimal integers `-?[0-9]+` of each stripped line, or
-    ValueError(message.format(line)): `int` alone reads `+2`, `1_0`, non-ASCII digits."""
+    """The two `_PAIR` integers of each stripped line, or
+    ValueError(message.format(line)), the line cut to `_SHOWN` characters:
+    `int` alone reads `+2`, `1_0`, non-ASCII digits."""
     for line in lines:
         match = _PAIR.fullmatch(line)
         if match is None:
-            raise ValueError(message.format(line))
+            shown = line if len(line) <= _SHOWN else line[: _SHOWN - 3] + "..."
+            raise ValueError(message.format(shown))
         u, v = match.groups()
         yield int(u), int(v)
 

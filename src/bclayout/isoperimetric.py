@@ -17,6 +17,7 @@ closed forms and work on any graph within the enumeration limit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,31 +120,52 @@ def _table_best_by_size(table: np.ndarray, edge_count: int, boundary: bool) -> l
     """`_best_by_size` of a `_subset_table` already built, whose values lie
     in 0..edge_count.
 
-    Read from one histogram of the table over (subset size, value) keys,
-    a row of the subset lattice at a time: rows are aligned, so a subset's
-    size is its row's popcount plus its column's.
+    Rows of the subset lattice are aligned, so a subset's size is its row's
+    popcount r plus its column's c. The rows of each r are folded
+    elementwise into one row (np.minimum for the boundary, np.maximum for
+    induced edges), the folded row is reduced over the columns of each c,
+    and the size r + c takes the extreme over its (r, c) pairs. One folded
+    row at a time: the work beyond the table is a few rows.
     """
-    n, width = table.size.bit_length() - 1, edge_count + 1
     cols = min(table.size, _ROW)
-    offsets = np.bitwise_count(np.arange(cols, dtype=np.uint32)).astype(np.intp) * width
-    seen = sum(
-        np.bincount(offsets + row + r.bit_count() * width, minlength=(n + 1) * width)
-        for r, row in enumerate(table.reshape(-1, cols))
-    ).reshape(n + 1, width) > 0
-    if boundary:
-        return seen.argmax(axis=1).tolist()
-    return (width - 1 - seen[:, ::-1].argmax(axis=1)).tolist()
+    order, bounds = _columns_by_popcount(cols)  # a first call sorts before `folded` exists
+    rows = table.reshape(-1, cols)
+    fold, empty = (np.minimum, edge_count + 1) if boundary else (np.maximum, -1)
+    best = np.full(table.size.bit_length(), empty, dtype=table.dtype)
+    folded = np.empty(cols, dtype=table.dtype)
+    for r in range(rows.shape[0].bit_length()):
+        folded.fill(empty)
+        for i, row in enumerate(rows):
+            if i.bit_count() == r:
+                fold(folded, row, out=folded)
+        sizes = best[r : r + len(bounds) - 1]
+        fold(sizes, fold.reduceat(folded[order], bounds[:-1]), out=sizes)
+    return best.tolist()
+
+
+@functools.cache
+def _columns_by_popcount(cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """The columns 0..cols-1 by popcount, ascending within each popcount,
+    and the bounds of the runs: the columns of popcount c are
+    order[bounds[c]:bounds[c + 1]]. Read-only, as every caller shares them."""
+    size = np.bitwise_count(np.arange(cols, dtype=np.uint32))
+    order = np.argsort(size, kind="stable").astype(np.int32)
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(size))))
+    for a in (order, bounds):
+        a.setflags(write=False)
+    return order, bounds
 
 
 def _first_best(table: np.ndarray, m: int, sign: int) -> int:
     """The lowest subset of size m at which sign * table is largest, found a
     row of the lattice at a time from the columns of the right popcount."""
     cols = min(table.size, _ROW)
-    col_size = np.bitwise_count(np.arange(cols, dtype=np.uint32))
+    order, bounds = _columns_by_popcount(cols)
     best, best_value = -1, -np.inf
     for r, row in enumerate(table.reshape(-1, cols)):
-        sel = np.flatnonzero(col_size == m - r.bit_count())
-        if sel.size:
+        c = m - r.bit_count()
+        if 0 <= c < len(bounds) - 1:
+            sel = order[bounds[c] : bounds[c + 1]]
             values = sign * row[sel]
             i = int(values.argmax())
             if values[i] > best_value:

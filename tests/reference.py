@@ -1,12 +1,12 @@
 """Independent references for tests: construction trees as nested
 (left, right, phi) tuples, with None for the dimension-1 leaf, their edges
-by the construction's recursion, random trees by the scalar stream, and the
-plain depth-first branch-and-bound that the memoized solver must replay."""
+by the construction's recursion, random trees by the scalar stream, the
+per-size subset extremes by a plain loop over every subset, and the plain
+depth-first branch-and-bound that the memoized solver must replay."""
 
 import time
 
 from bclayout import ConstructionTree, LinearArrangement, Node, SplitMix64, arrangement_cost
-from bclayout.isoperimetric import _best_by_size
 from bclayout.layout import _BudgetExhausted
 
 LEAF = ConstructionTree(1)
@@ -46,11 +46,30 @@ def scalar_tree(n, seed):
     return draw(n)
 
 
+def best_by_size(graph, boundary):
+    """Most induced edges, or with `boundary` least edge boundary, of the
+    subsets of each size 0..N: every subset's edges counted from the
+    adjacency masks of its members."""
+    n = graph.vertex_count
+    masks = graph.adjacency_masks()
+    best = [None] * (n + 1)
+    for subset in range(1 << n):
+        members = [v for v in range(n) if subset >> v & 1]
+        if boundary:
+            value = sum((masks[v] & ~subset).bit_count() for v in members)
+        else:
+            value = sum((masks[v] & subset).bit_count() for v in members) // 2
+        m = len(members)
+        if best[m] is None or (value < best[m] if boundary else value > best[m]):
+            best[m] = value
+    return best
+
+
 def _solve_branch_and_bound(graph, incumbent, budget_seconds):
     n = graph.vertex_count
     masks = graph.adjacency_masks()
     degrees = graph.degrees().tolist()
-    boundary_min = _best_by_size(graph, boundary=True)
+    boundary_min = best_by_size(graph, boundary=True)
     # rest[k]: least possible crossing total of cuts k+1..n-1, any completion
     rest = [0] * (n + 1)
     for k in range(n - 2, -1, -1):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -108,6 +109,7 @@ def test_table_large_dimension_needs_row_selection():
 
 BAD_MS = [("--m", m) for m in ("1,9", "9", "1,0", "0", "2,-1", "8,7,6,5,4,3,2,1,9")]
 BAD_MS += [("--max-m", "0"), ("--max-m", "-2"), ("--m", ","), ("--m", "")]
+BAD_MS += [("--m", "\u0663,+2"), ("--m", "3,1_0")]  # `int` reads both: not ASCII decimal
 
 
 @pytest.mark.parametrize(
@@ -123,13 +125,14 @@ def test_table_rejects_a_bad_m_before_writing(tmp_path, option, ms):
 
 
 # integers a text file must not hold, each written for the digit 1 or 4;
-# `int` reads all but the last two as that digit
+# `int` reads the first three as that digit, and refuses the last one for
+# its 5000 digits, more than its default limit
 NON_DECIMAL = [lambda d: f"+{d}", lambda d: f"0_{d}", lambda d: chr(0x660 + d),
-               lambda d: f"{d}.0", lambda d: f"0x{d}"]
+               lambda d: f"{d}.0", lambda d: f"0x{d}", lambda d: str(d) * 5000]
 EDGE_LIST, IDENTITY = "4 4\n0 1\n0 2\n1 3\n2 3\n", "0 1\n1 2\n2 3\n3 4\n"
 
 
-@pytest.mark.parametrize("token", NON_DECIMAL, ids=[t(1) for t in NON_DECIMAL])
+@pytest.mark.parametrize("token", NON_DECIMAL, ids=[t(1)[:8] for t in NON_DECIMAL])
 @pytest.mark.parametrize("place", ["header", "edge", "arrangement"])
 def test_a_non_decimal_integer_exits_2_before_writing(tmp_path, place, token):
     graph, arrangement, path = tmp_path / "g.edges", tmp_path / "f.txt", tmp_path / "out"
@@ -477,6 +480,53 @@ def test_usage_goes_to_the_given_streams(capsys):
     assert (status, err) == (0, "")
     assert out.startswith("usage: bclayout certify ")
     assert capsys.readouterr() == ("", "")
+
+
+def test_concurrent_runs_keep_their_own_streams():
+    # one parser serves every call: each thread's usage errors reach only
+    # the streams that thread passed in
+    argvs = [["table", "-n", "x"], ["frobnicate"]]
+    expected = [invoke(*argv) for argv in argvs]
+    got = [[], []]
+    barrier = threading.Barrier(2, timeout=60)
+
+    def work(k):
+        barrier.wait()
+        for _ in range(200):
+            got[k].append(invoke(*argvs[k]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [set(g) for g in got] == [{expected[0]}, {expected[1]}]
+    assert [len(g) for g in got] == [200, 200]
+
+
+def test_help_leaves_the_parser_as_it_was():
+    argv = ["certify", "--family", "hypercube", "-n", "3"]
+    before = invoke(*argv)
+    status, out, err = invoke("certify", "--help")
+    assert (status, err) == (0, "") and out.startswith("usage: bclayout certify ")
+    assert invoke(*argv) == before
+    assert invoke("certify", "--help") == (status, out, err)
+
+
+def test_importing_the_package_builds_no_parser():
+    done = subprocess.run(
+        [sys.executable, "-c", "import bclayout; from bclayout import cli; "
+         "print(cli._build_parser.cache_info().currsize)"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(bclayout.__file__))},
+    )
+    assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
 
 
 # ------------------------------------------------- malformed input

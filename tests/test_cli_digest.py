@@ -1,9 +1,10 @@
-"""tools/cli_digest.py on the matrix's first two dimensions and its
-rejection matrix."""
+"""tools/cli_digest.py on the matrix's first two dimensions, its
+rejection matrix and its extras."""
 
 import hashlib
 import importlib.util
 import io
+import json
 import os
 import re
 import tempfile
@@ -16,13 +17,18 @@ cli_digest = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(cli_digest)
 
 
+def invoke(argv):
+    out, err = io.StringIO(), io.StringIO()
+    return cli.run(argv, stdout=out, stderr=err), out.getvalue(), err.getvalue()
+
+
 def test_lines_are_deterministic_and_digest_the_output():
     lines = list(cli_digest.lines(range(1, 3)))
     assert lines == list(cli_digest.lines(range(1, 3)))  # a new temporary directory
     # per member: five commands, six on files and solve; six members a dimension
-    rejected = lines[2 * 6 * 12 :]
-    assert rejected == list(cli_digest.lines(range(0)))  # the rejection matrix alone
-    assert len(rejected) == 2 * (4 * 8 + 2 * 8 + 2 * 7 + 4)
+    tail = lines[2 * 6 * 12 :]
+    assert tail == list(cli_digest.lines(range(0)))  # the rejection matrix and the extras
+    assert len(tail) == 2 * (4 * 8 + 2 * 9 + 2 * 8 + 5) + 8 + 2 + 1
     assert all(re.fullmatch(r"[0-9a-f]{64} [0-3] \S.*", line) for line in lines)
     assert all("$TMP/" in line for line in lines if " -o " in line or " -i " in line)
     out = io.StringIO()
@@ -51,8 +57,9 @@ def test_every_rejection_exits_2_and_writes_nothing():
             assert (cli.run(argv, stdout=out, stderr=err), out.getvalue()) == (2, ""), argv
             assert err.getvalue().startswith("error: ") and with_stderr
             assert "-o" not in argv or not os.path.exists(argv[-1])
+        extras = len(cli_digest.extras(tmp))
     # a command and its `-o` twin digest alike: the same error, no file
-    lines = list(cli_digest.lines(range(0)))
+    lines = list(cli_digest.lines(range(0)))[:-extras]
     assert all(line.split()[1] == "2" for line in lines)
     assert [line.split()[0] for line in lines[::2]] == [line.split()[0] for line in lines[1::2]]
     assert all(" -o $TMP/rejected-" in line for line in lines[1::2])
@@ -66,3 +73,20 @@ def test_solve_rejections_digest_standard_error_without_the_search_time(monkeypa
     monkeypatch.setattr(cli_digest.cli, "run", run)
     expected = hashlib.sha256(b"\0error: x\n").hexdigest(), 2
     assert cli_digest.digest(["solve", "-i", "g"], True, "tmp") == expected
+
+
+def test_extras_digest_help_usage_errors_and_a_24_vertex_eval():
+    with tempfile.TemporaryDirectory() as tmp:
+        extras = cli_digest.extras(tmp)
+        runs = [(argv, *invoke(argv)) for argv, _ in extras]
+    helps = [(argv, status, out, err) for argv, status, out, err in runs if "--help" in argv]
+    assert len(helps) == 1 + len(cli_digest.COMMANDS)
+    for argv, status, out, err in helps:
+        assert (status, err) == (0, "") and out.startswith("usage: bclayout ")
+    for argv, status, out, err in runs[len(helps):-1]:
+        assert (status, out) == (2, "") and err.startswith("usage: bclayout"), argv
+    argv, status, out, err = runs[-1]
+    report = json.loads(out)
+    assert (status, err, len(report["cuts"])) == (0, "", 23)  # a cut between each two positions
+    assert report["lower_bound"] <= report["cost"]
+

@@ -4,6 +4,7 @@ import functools
 import io
 import itertools
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -168,6 +169,23 @@ def test_text_integers_are_ascii_decimal(token):
         load_edge_list(io.StringIO(f"{token} 0\n"))
     with pytest.raises(ValueError, match="^malformed arrangement line: "):
         load_arrangement(io.StringIO(f"0 {token}\n"))
+
+
+@pytest.mark.parametrize("digits", [641, 5000])
+def test_an_over_long_token_is_a_malformed_line(digits):
+    # more digits than int() may be set to convert: the loader's own message
+    # names the line, cut to 60 characters, not int()'s digit-limit advice
+    line = "0 " + "1" * digits
+    shown = re.escape(repr(line[:57] + "..."))
+    with pytest.raises(ValueError, match=f"^malformed edge line: {shown}$"):
+        load_edge_list(io.StringIO(f"2 1\n{line}\n"))
+    with pytest.raises(ValueError, match=f"^malformed arrangement line: {shown}$"):
+        load_arrangement(io.StringIO(f"{line}\n1 1\n"))
+    with pytest.raises(ValueError, match="^edge-list header must be 'N M'$"):
+        load_edge_list(io.StringIO(f"{'1' * digits} 0\n"))
+    # 640 digits still convert and reach the range checks
+    with pytest.raises(ValueError, match=r"^positions must be integers$"):
+        load_arrangement(io.StringIO(f"0 {'1' * 640}\n"))
 
 
 def test_text_integers_keep_their_range_messages():

@@ -7,6 +7,8 @@ shipped bitmask enumeration so each checks the other.
 
 import itertools
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from bclayout import (
     sum_edge_boundary,
 )
 from bclayout import isoperimetric
+from reference import best_by_size
 
 
 def combo_tables(graph):
@@ -219,6 +222,37 @@ def test_witnesses_are_the_lowest_extreme_subsets(n, edges, seed):
         found = (brute_force_max_induced(g, m), brute_force_min_boundary(g, m))
         for witness, mask in zip(found, lowest):
             assert witness.vertices == tuple(v for v in range(n) if mask >> v & 1)
+
+
+@given(st.integers(1, 14), st.integers(0, 14), st.data())
+@settings(max_examples=100)
+def test_folded_rows_match_a_plain_subset_loop(n, row_bits, data):
+    # rows of 2**row_bits subsets: many rows per popcount class, where the
+    # shipped row length gives graphs this small a single row
+    pairs = list(itertools.combinations(range(n), 2))
+    g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    for boundary in (False, True):
+        table = isoperimetric._subset_table(g, boundary)
+        with mock.patch.object(isoperimetric, "_ROW", 1 << row_bits):
+            got = isoperimetric._table_best_by_size(table, g.edge_count, boundary)
+        assert got == best_by_size(g, boundary)
+
+
+def test_the_fold_needs_the_table_and_a_few_rows():
+    # at 20 vertices: the 2 MB table, then one folded row, its reordered
+    # copy and the int32 column order (its argsort's intp order first)
+    rnd = random.Random(20)
+    g = Graph(20, rnd.sample(list(itertools.combinations(range(20), 2)), 60))
+    isoperimetric._columns_by_popcount.cache_clear()  # count its argsort too
+    tracemalloc.start()
+    try:
+        best = isoperimetric._best_by_size(g, boundary=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row = isoperimetric._ROW * np.dtype(np.int16).itemsize
+    assert peak <= (1 << 20) * np.dtype(np.int16).itemsize + 8 * row
+    assert best[0] == best[20] == 0
 
 
 def test_bounds_build_only_the_boundary_table(monkeypatch):

@@ -18,8 +18,14 @@ Then the rejection matrix, each command once to standard output and once
 with `-o`: malformed graph JSON (a bool, float, oversized or string edge
 endpoint or phi entry) through `certify -i`, `arrange -i`, `solve -i` and
 `eval -g`; edge lists and arrangements whose integers are not ASCII
-decimal, or not integers, through `solve -i` and `eval`; and `table` with
-an empty or out-of-range `--m` or `--max-m`. Every one should exit 2.
+decimal, not integers or of 5000 digits, through `solve -i` and `eval`;
+and `table` with an empty, out-of-range or non-decimal `--m` or `--max-m`.
+Every one should exit 2.
+
+Last, the parser and the largest enumeration: `--help` of the program and
+of every command, two usage errors, and `eval` of a 24-vertex edge list,
+whose lower bound enumerates all 2**24 subsets. Help text wraps at the
+terminal's width (or `COLUMNS`), so compare runs made at the same width.
 
 The commands run in this process through `bclayout.cli.run`. A digest
 covers standard output, standard error (with any search time removed) and
@@ -59,14 +65,20 @@ BAD_GRAPHS = [(f"edge-{name}", GRAPH.replace("[0,1],", f"[0,{bad}],")) for name,
 BAD_GRAPHS += [(f"phi-{name}", GRAPH.replace('"phi":[0,1]', f'"phi":[{bad},1]')) for name, bad in (
     ("bool", "false"), ("float", "0.0"), ("big", BIG), ("str", '"0"'))]
 TOKENS = (("plus", "+1"), ("underscore", "0_1"), ("arabic", "\u0661"), ("float", "1.0"),
-          ("bool", "True"), ("big", BIG))
+          ("bool", "True"), ("big", BIG), ("long", "1" * 5000))
 BAD_EDGES = [(f"row-{name}", EDGES.replace("0 1\n", f"0 {bad}\n")) for name, bad in TOKENS]
 BAD_EDGES += [("header-plus", EDGES.replace("4 4", "+4 4")),
               ("header-arabic", EDGES.replace("4 4", "\u0664 4"))]
 BAD_ARRANGEMENTS = [(f"position-{name}", ARRANGEMENT.replace("0 1\n", f"0 {bad}\n"))
                     for name, bad in TOKENS]
 BAD_ARRANGEMENTS += [("position-huge", ARRANGEMENT.replace("0 1\n", f"0 {2**70}\n"))]
-BAD_TABLES = [["--m", ","], ["--m="], ["--m", "0"], ["--max-m", "0"]]
+BAD_TABLES = [["--m", ","], ["--m="], ["--m", "0"], ["--max-m", "0"], ["--m", "\u0663,+2"]]
+COMMANDS = ("build", "table", "arrange", "eval", "certify", "solve", "verify")
+USAGE_ERRORS = [["frobnicate"], ["table", "-n", "x"]]
+# a 24-vertex circulant, each vertex joined to the next and the fifth after it
+WIDE = 24
+WIDE_EDGES = f"{WIDE} {2 * WIDE}\n" + "".join(
+    f"{v} {(v + step) % WIDE}\n" for v in range(WIDE) for step in (1, 5))
 
 
 def members(dimensions=DIMENSIONS) -> Iterator[list[str]]:
@@ -128,6 +140,19 @@ def rejections(tmp: str) -> Iterator[tuple[list[str], bool]]:
         yield [*argv, "-o", os.path.join(tmp, f"rejected-{i}.out")], True
 
 
+def extras(tmp: str) -> list[tuple[list[str], bool]]:
+    """(argv, True) of the help texts, the usage errors and the 24-vertex
+    `eval`, after writing its edge list and identity arrangement."""
+    graph, arrangement = os.path.join(tmp, "wide.edges"), os.path.join(tmp, "wide.arr")
+    with open(graph, "w") as fp:
+        fp.write(WIDE_EDGES)
+    with open(arrangement, "w") as fp:
+        fp.writelines(f"{v} {v + 1}\n" for v in range(WIDE))
+    argvs = [["--help"], *([command, "--help"] for command in COMMANDS), *USAGE_ERRORS]
+    argvs.append(["eval", "-g", graph, "-a", arrangement])
+    return [(argv, True) for argv in argvs]
+
+
 def digest(argv: list[str], with_stderr: bool, tmp: str) -> tuple[str, int]:
     """The sha256 of what `argv` wrote, and its exit status."""
     out, err = io.StringIO(), io.StringIO()
@@ -145,9 +170,9 @@ def digest(argv: list[str], with_stderr: bool, tmp: str) -> tuple[str, int]:
 
 def lines(dimensions=DIMENSIONS) -> Iterator[str]:
     """One `sha256 exit argv` line per command of the matrix, then of the
-    rejection matrix."""
+    rejection matrix, then of the extras."""
     with tempfile.TemporaryDirectory() as tmp:
-        for argv, with_stderr in chain(commands(tmp, dimensions), rejections(tmp)):
+        for argv, with_stderr in chain(commands(tmp, dimensions), rejections(tmp), extras(tmp)):
             sha, status = digest(argv, with_stderr, tmp)
             yield f"{sha} {status} {' '.join(argv).replace(tmp, '$TMP')}"
 
