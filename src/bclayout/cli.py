@@ -197,24 +197,23 @@ def _cmd_build(args, out, err) -> int:
 
 def _cmd_table(args, out, err) -> int:
     n = args.dimension
-    if n < 1:
-        raise ValueError("dimension must be positive")
-    size = 1 << n
+    _check_boundary_args(n, 1)  # the dimension, before any m
     if args.m is not None:
         tokens = [tok.strip() for tok in args.m.split(",") if tok.strip()]
         if not tokens:
             raise ValueError(f"m must be in 1..2**{n}, got no value")
         for tok in tokens:
-            if not formats._DECIMAL.fullmatch(tok):  # as in the text formats
-                raise ValueError(f"m must be in 1..2**{n}, got {tok!r}")
+            if not formats._TOKEN.fullmatch(tok):  # as in the text formats
+                raise ValueError(f"m must be in 1..2**{n}, got {formats._shown(tok)!r}")
         ms = [int(tok) for tok in tokens]
         for m in ms:  # every m before any row is written
             _check_boundary_args(n, m)
     elif args.max_m is not None:
-        _check_boundary_args(n, min(args.max_m, size - 1))  # a MAX_M below 1 fails like --m
-        ms = range(1, min(args.max_m, size - 1) + 1)
+        top = min(args.max_m, (1 << min(n, args.max_m.bit_length())) - 1)  # <= 2**n - 1
+        _check_boundary_args(n, top)  # a MAX_M below 1 fails like --m
+        ms = range(1, top + 1)
     elif n <= FULL_TABLE_DIMENSION_LIMIT:
-        ms = range(1, size)
+        ms = range(1, 1 << n)
     else:
         raise ValueError(
             f"a full table for n={n} is too large; pass --max-m or --m"

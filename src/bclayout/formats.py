@@ -18,11 +18,12 @@ inner groups, then 0..9999 NUL-padded for a value's leading group, then an
 empty word for the groups above it. The literals around the values
 (`[`, `,`, `],`, `"phi":[`, a newline) are NUL-padded words in the same
 grid. `bytes.translate` deletes the NULs and the rest is the ASCII text.
+The `m,I,theta` rows of `write_isoperimetric_table` are the one text output
+not written by `_format_rows`: their integers can exceed 64 bits.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import re
@@ -33,7 +34,7 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 from .core import BcGraph, ConstructionTree, Graph, _canonical_edges
-from .isoperimetric import edge_boundary, max_induced_edges
+from .isoperimetric import edge_boundary
 from .layout import LayoutReport, LinearArrangement
 
 
@@ -104,13 +105,10 @@ _INT = r"(?:0|[1-9][0-9]{0,17})"
 _EDGES = re.compile(rf'"edges":(\[(?:\[{_INT},{_INT}\](?:,\[{_INT},{_INT}\])*+)?\])')
 _PHI = re.compile(rf'"phi":\[({_INT}(?:,{_INT})*+)\]')
 _NO_BRACKETS = str.maketrans("", "", "[]")
-# An integer of the edge-list and arrangement texts and of `table --m`
-_DECIMAL = re.compile(r"-?[0-9]+")
-# A line of those texts. A token has at most 640 digits, the least limit
-# int() can be set to convert, so every token that matches converts.
-_PAIR = re.compile(r"(-?[0-9]{1,640})\s+(-?[0-9]{1,640})")
-# characters of a malformed line that its error message shows
-_SHOWN = 60
+# An integer of the edge-list and arrangement texts and of `table --m`: at
+# most 640 digits, the least limit int() can be set to, so every match converts.
+_TOKEN = re.compile(r"-?[0-9]{1,640}")
+_PAIR = re.compile(rf"({_TOKEN.pattern})\s+({_TOKEN.pattern})")  # a line of those texts
 # integers per write: cut counts, or the values of edge rows, arrangement
 # lines or a level of a subtree's phi rows (at most this many leaves); at up
 # to 8 digits a value, a block's word grid stays below 64 KB, well under
@@ -321,6 +319,8 @@ def _graph_document(data, edge_array=None, tree_rows=None) -> GraphDocument:
     dimension = data.get("dimension")
     if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
         raise ValueError("'dimension' must be a positive integer")
+    if dimension > 63:  # before 1 << dimension: vertex ids must fit the int64 edges
+        raise ValueError("'dimension' must be at most 63")
     edges = data.get("edges")
     if not isinstance(edges, list):
         raise ValueError("'edges' must be an array of pairs")
@@ -359,15 +359,19 @@ def load_edge_list(fp: Iterable[str]) -> Graph:
 
 def _int_pairs(lines: Iterable[str], message: str) -> Iterator[tuple[int, int]]:
     """The two `_PAIR` integers of each stripped line, or
-    ValueError(message.format(line)), the line cut to `_SHOWN` characters:
-    `int` alone reads `+2`, `1_0`, non-ASCII digits."""
+    ValueError(message.format(_shown(line))): `int` alone reads `+2`,
+    `1_0`, non-ASCII digits."""
     for line in lines:
         match = _PAIR.fullmatch(line)
         if match is None:
-            shown = line if len(line) <= _SHOWN else line[: _SHOWN - 3] + "..."
-            raise ValueError(message.format(shown))
+            raise ValueError(message.format(_shown(line)))
         u, v = match.groups()
         yield int(u), int(v)
+
+
+def _shown(text: str) -> str:
+    """A malformed line or token as its error message shows it: 60 characters at most."""
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def dump_arrangement(arrangement: LinearArrangement, fp: IO[str]) -> None:
@@ -434,7 +438,7 @@ def format_report_lines(report: LayoutReport) -> list[str]:
 
 def write_isoperimetric_table(fp: IO[str], n: int, ms: Iterable[int]) -> None:
     """CSV with header m,I,theta: the closed-form profile at the given sizes."""
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(["m", "I", "theta"])
+    fp.write("m,I,theta\n")
     for m in ms:
-        writer.writerow([m, max_induced_edges(m), edge_boundary(n, m)])
+        theta = edge_boundary(n, m)
+        fp.write(f"{m},{(n * m - theta) // 2},{theta}\n")

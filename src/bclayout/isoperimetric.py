@@ -68,7 +68,7 @@ def edge_boundary_expanded(n: int, m: int) -> int:
 def _check_boundary_args(n: int, m: int) -> None:
     if n < 1:
         raise ValueError("dimension must be positive")
-    if not 1 <= m <= (1 << n):
+    if m < 1 or (m - 1).bit_length() > n:  # m <= 2**n, with no 2**n built
         raise ValueError(f"m must be in 1..2**{n}, got {m}")
 
 

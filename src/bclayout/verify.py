@@ -39,7 +39,7 @@ from .layout import (
     minla_exact,
     random_arrangement,
 )
-from .rng import SplitMix64
+from .rng import SplitMix64, check_seed
 
 DEFAULT_SEED = 42
 RANDOM_GRAPHS_PER_DIMENSION = 5
@@ -362,6 +362,7 @@ SUITE_NAMES = tuple(name for name, _, _ in SUITES)
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED) -> SuiteResult:
+    check_seed(seed)  # a bad seed is an input error (ValueError), not a failed suite
     for suite_name, fn, limit in SUITES:
         if suite_name == name:
             return _suite(suite_name, fn, seed, limit)

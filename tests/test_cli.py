@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bclayout import KINDS, FamilySpec, bc_arrangement, build_family, edge_boundary, hypercube
+from bclayout import (
+    KINDS, FamilySpec, bc_arrangement, build_family, edge_boundary, hypercube, max_induced_edges,
+)
 import bclayout
 from bclayout import cli, core, families, formats, layout
 from bclayout.cli import run
@@ -89,31 +91,42 @@ def test_table_default_rows():
     assert rows[-1] == "7,9,3"
 
 
-def test_table_dimension_63_single_row():
-    m = (1 << 63) - 1
-    status, out, _ = invoke("table", "-n", "63", "--m", str(m))
-    assert status == 0
-    row = out.splitlines()[1].split(",")
-    assert int(row[0]) == m
-    assert int(row[2]) == edge_boundary(63, m)
+@pytest.mark.parametrize("n, row", [
+    ("63", "9223372036854775807,290536219160925437889,63"),
+    ("100000000000000000000", "3,2,299999999999999999996"),  # no 2**n is built
+])
+def test_table_single_row_beyond_int64(n, row):
+    m = row.split(",")[0]
+    assert invoke("table", "-n", n, "--m", m) == (0, f"m,I,theta\n{row}\n", "")
 
 
-def test_table_large_dimension_needs_row_selection():
-    status, _, err = invoke("table", "-n", "40")
+@pytest.mark.parametrize("n, max_m", [("40", 4), ("100000000000000000000", 2)])
+def test_table_large_dimension_needs_row_selection(n, max_m):
+    status, _, err = invoke("table", "-n", n)
     assert status == 2
     assert "--max-m" in err
-    status, out, _ = invoke("table", "-n", "40", "--max-m", "4")
-    assert status == 0
-    assert len(out.splitlines()) == 5
+    status, out, _ = invoke("table", "-n", n, "--max-m", str(max_m))
+    rows = [f"{m},{max_induced_edges(m)},{edge_boundary(int(n), m)}" for m in range(1, max_m + 1)]
+    assert (status, out.splitlines()) == (0, ["m,I,theta", *rows])
+
+
+def test_table_max_m_below_1_fails_at_dimension_1():
+    for max_m in ("0", "-1", "-2"):  # -2 has more bits than n
+        assert invoke("table", "-n", "1", "--max-m", max_m) == (
+            2, "", f"error: m must be in 1..2**1, got {max_m}\n")
 
 
 BAD_MS = [("--m", m) for m in ("1,9", "9", "1,0", "0", "2,-1", "8,7,6,5,4,3,2,1,9")]
 BAD_MS += [("--max-m", "0"), ("--max-m", "-2"), ("--m", ","), ("--m", "")]
 BAD_MS += [("--m", "\u0663,+2"), ("--m", "3,1_0")]  # `int` reads both: not ASCII decimal
+# longer than a token: `int` reads 641 digits and refuses 5000 with its advice
+BAD_MS += [("--m", "1" * 641), ("--m", "1" * 5000)]
 
 
 @pytest.mark.parametrize(
-    "option, ms", BAD_MS, ids=[m if o == "--m" else f"{o}={m}" for o, m in BAD_MS]
+    "option, ms", BAD_MS,
+    ids=[(m if len(m) < 20 else f"{len(m)}-digits") if o == "--m" else f"{o}={m}"
+         for o, m in BAD_MS],
 )
 def test_table_rejects_a_bad_m_before_writing(tmp_path, option, ms):
     path = tmp_path / "t.csv"
@@ -121,6 +134,7 @@ def test_table_rejects_a_bad_m_before_writing(tmp_path, option, ms):
         status, out, err = invoke("table", "-n", "3", option, ms, *output)
         assert (status, out) == (2, "")
         assert err.startswith("error: m must be in 1..2**3, got ")
+        assert len(err) < 100  # a long token is cut as a malformed line is
     assert not path.exists()
 
 
@@ -449,6 +463,18 @@ def test_verify_single_suite():
     status, out, _ = invoke("verify", "--suite", "cross-matching-constant")
     assert status == 0
     assert out.startswith("PASS cross-matching-constant:")
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_verify_rejects_a_seed_out_of_range_before_any_suite(seed):
+    assert invoke("verify", "--seed", seed) == (
+        2, "", "error: seed must be an unsigned 64-bit integer\n")
+
+
+@pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
+def test_verify_takes_a_seed_at_either_bound(seed):
+    status, out, _ = invoke("verify", "--suite", "induced-edge-oracle", "--seed", seed)
+    assert (status, out.split(":")[0]) == (0, "PASS induced-edge-oracle")
 
 
 def test_verify_is_deterministic():

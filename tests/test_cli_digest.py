@@ -25,10 +25,11 @@ def invoke(argv):
 def test_lines_are_deterministic_and_digest_the_output():
     lines = list(cli_digest.lines(range(1, 3)))
     assert lines == list(cli_digest.lines(range(1, 3)))  # a new temporary directory
-    # per member: five commands, six on files and solve; six members a dimension
-    tail = lines[2 * 6 * 12 :]
-    assert tail == list(cli_digest.lines(range(0)))  # the rejection matrix and the extras
-    assert len(tail) == 2 * (4 * 8 + 2 * 9 + 2 * 8 + 5) + 8 + 2 + 1
+    # per member: five commands, six on files and solve; six members and
+    # one table a dimension
+    tail = lines[2 * 6 * 12 + 2 :]
+    assert tail == list(cli_digest.lines(range(0)))  # row selections, rejections, extras
+    assert len(tail) == len(cli_digest.TABLES) + 2 * (4 * 9 + 2 * 9 + 2 * 8 + 8) + 8 + 2 + 1
     assert all(re.fullmatch(r"[0-9a-f]{64} [0-3] \S.*", line) for line in lines)
     assert all("$TMP/" in line for line in lines if " -o " in line or " -i " in line)
     out = io.StringIO()
@@ -37,6 +38,21 @@ def test_lines_are_deterministic_and_digest_the_output():
     assert f"{sha} 0 build --family hypercube -n 2" in lines
     solved = [line for line in lines[: 2 * 6 * 12] if " solve " in line]
     assert len(solved) == 12 and all(line.split()[1] == "0" for line in solved)
+    out = io.StringIO()
+    assert cli.run(["table", "-n", "2"], stdout=out) == 0
+    sha = hashlib.sha256(out.getvalue().encode() + b"\0").hexdigest()
+    assert lines[2 * 6 * 12 + 1] == f"{sha} 0 table -n 2"
+    assert all(line.split()[1] == "0" for line in tail[: len(cli_digest.TABLES)])
+    assert " table -n 3 --m 1111111111111111...(5000 chars)" in "".join(tail)
+
+
+def test_an_uncaught_exception_is_digested_as_exit_1(monkeypatch):
+    def run(argv, stdout, stderr):
+        raise OverflowError("int too large")
+
+    monkeypatch.setattr(cli_digest.cli, "run", run)
+    expected = hashlib.sha256(b"OverflowError: int too large").hexdigest(), 1
+    assert cli_digest.digest(["table", "-n", "9"], True, "tmp") == expected
 
 
 def test_solve_is_digested_without_its_timing_line():
@@ -59,7 +75,7 @@ def test_every_rejection_exits_2_and_writes_nothing():
             assert "-o" not in argv or not os.path.exists(argv[-1])
         extras = len(cli_digest.extras(tmp))
     # a command and its `-o` twin digest alike: the same error, no file
-    lines = list(cli_digest.lines(range(0)))[:-extras]
+    lines = list(cli_digest.lines(range(0)))[len(cli_digest.TABLES) : -extras]
     assert all(line.split()[1] == "2" for line in lines)
     assert [line.split()[0] for line in lines[::2]] == [line.split()[0] for line in lines[1::2]]
     assert all(" -o $TMP/rejected-" in line for line in lines[1::2])

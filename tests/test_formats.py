@@ -94,6 +94,10 @@ def test_graph_json_rejects_malformed():
         load_graph_json(io.StringIO('{"edges": []}'))  # missing dimension
     with pytest.raises(ValueError):
         load_graph_json(io.StringIO('{"dimension": 0, "edges": []}'))
+    for dimension in (64, 10**20):  # refused before 2**dimension is built
+        with pytest.raises(ValueError, match="'dimension' must be at most 63"):
+            load_graph_json(io.StringIO(f'{{"dimension":{dimension},"edges":[]}}'))
+    assert load_graph_json(io.StringIO('{"dimension":63,"edges":[]}')).graph.vertex_count == 1 << 63
     with pytest.raises(ValueError):
         load_graph_json(io.StringIO('{"dimension": 2, "edges": 7}'))
     with pytest.raises(ValueError):
@@ -520,6 +524,7 @@ DOC3 = f'{{"dimension":3,"edges":{EDGES3},"tree":{TREE3}}}\n'
         DOC.replace('"dimension":2', '"dimension":1,"dimension":2'),
         DOC.replace('"dimension":2', '"dimension":3'),
         DOC.replace('"dimension":2,', ""),
+        DOC.replace('"dimension":2', '"dimension":100000000000000000000'),
         '{"dimension":1,"tree":{"edges":[[0,1]]}}',
         '{"dimension":1,"x":{"edges":[[0,1]]}}',
         '{"dimension":1,"edges":[[0,1]],"x":"edges"}',

@@ -1,5 +1,6 @@
 """Golden outputs at n = 10: sha256 digests of CLI stdout and of the
-library's arrangement and cut profile, pinned per family.
+library's arrangement and cut profile, pinned per family. Then `table`
+stdout, pinned for n = 1..16 and for row selections up to n = 100.
 
 Only `build` output differs between families. The arrangement, the
 certificate, the evaluation of the arranged file and the cut profile are
@@ -67,3 +68,37 @@ def test_library_outputs_are_pinned(kind, seed):
     assert sha256(" ".join(map(str, counts))) == CUTS_SHA256
     positions = bc_arrangement(bc.tree).to_list()
     assert sha256(" ".join(map(str, positions))) == POSITIONS_SHA256
+
+
+# `table` stdout: the full table for n = 1..16, then selected rows
+TABLE_SHA256 = {
+    "-n 1": "504ae1d61f32914b4423d3f21dff4453025bc74c421c57da9279c555f0a29345",
+    "-n 2": "d7e69e732ba3308ae732255ef82f8ae0e0502d3c6dc3bc4e31219dda5ad6c473",
+    "-n 3": "a386b283d4575c978c3cce9ace0099c30a4a8b8993bf5afd0a4215c1406335cd",
+    "-n 4": "c29930c093cb22db3af39b825dadf75d0e285c8bcfb3100d0ad79d3a890f2cfc",
+    "-n 5": "d309ba72a23551a9e43ee4963d1bae57f7d935b3299ff1a801da69869bbef076",
+    "-n 6": "c79e971fe7e3141705f753ac96bef5a03258a8b46899fcbf03b12c470d3ec575",
+    "-n 7": "e635ff0e93ced2794b2206914823a7dd8ba1234b522781b65dc78595cce8c03a",
+    "-n 8": "8db3247d38f9c460b51f44d3e1d6913202ef05f96fb604f0262e30fd7f87d7fe",
+    "-n 9": "9855fe30f354fd9cbc85ea66cf1293c54c962b85eb2132d02805dc55ea226c5b",
+    "-n 10": "6ddf39df9adf6bac2fdee366509e1b0cfc5ae535b83228e19a6639534014f101",
+    "-n 11": "27405ceb1d2584cab331a2f4917f117941bfeacd3d8b69cb7ca4214f718bee77",
+    "-n 12": "1cd47e83ec3e4b873dcd316b50416bf9ca5941e148fda63a65598d9668334bd5",
+    "-n 13": "894a232e83a8e50df44a37adb8961143798ccb17968497b095c6dfcb493ae6e3",
+    "-n 14": "92184bbc92b50c060464f8b7c9db0310b7b3c73876e4291c17bf5dc4fa6cfbea",
+    "-n 15": "018a655ce929a03a647848652d1227fcb791d4c58d3667d0289d0c3607bab222",
+    "-n 16": "ebe5ea60092ebe724f53effebb1ede6c5ea095850cdbb8efc0b4128ef48dc5e4",
+    "-n 40 --max-m 4": "92e10bc3f15728139c743b00d2602dee0d951266d5a2a2212b0a98d9022fd4d1",
+    # --max-m above 2**n - 1 stops at the full table
+    "-n 3 --max-m 100": "a386b283d4575c978c3cce9ace0099c30a4a8b8993bf5afd0a4215c1406335cd",
+    "-n 5 --m 7,3,31": "1b2f97fefc09f5828984852db886fc2edf346eeac2bcf153e634c563f11ab8b3",
+    "-n 63 --m 9223372036854775807":
+        "4f19cb8b8912133b35b31e3be1dc944334cd23e249d2279ff8975e9c57de377a",
+    "-n 100 --m 3":  # the row 3,2,296
+        "627f66f6141be82f0cb8bbcfc1ab1bc3b05c7f3f0c2abf107772d0116ed26538",
+}
+
+
+@pytest.mark.parametrize("args", list(TABLE_SHA256))
+def test_table_stdout_is_pinned(args):
+    assert sha256(stdout_of("table", *args.split())) == TABLE_SHA256[args]

@@ -12,15 +12,20 @@ For every family kind at n = 1..12, the random family with seeds 1 and 2:
   directory, then `eval` of both graph files with that arrangement and
   `certify -i` of the graph with its tree;
 - at n <= 4, `solve --family`, digesting standard output only, as standard
-  error carries the search time.
+  error carries the search time;
+- `table -n N` at each dimension.
+
+Then `table` with selected rows (`--max-m`, `--m`, dimensions up to
+10**20, where the rows exceed 64 bits).
 
 Then the rejection matrix, each command once to standard output and once
 with `-o`: malformed graph JSON (a bool, float, oversized or string edge
-endpoint or phi entry) through `certify -i`, `arrange -i`, `solve -i` and
-`eval -g`; edge lists and arrangements whose integers are not ASCII
-decimal, not integers or of 5000 digits, through `solve -i` and `eval`;
-and `table` with an empty, out-of-range or non-decimal `--m` or `--max-m`.
-Every one should exit 2.
+endpoint or phi entry, or a dimension of 10**20) through `certify -i`,
+`arrange -i`, `solve -i` and `eval -g`; edge lists and arrangements whose
+integers are not ASCII decimal, not integers or of 5000 digits, through
+`solve -i` and `eval`; and `table` with an empty, out-of-range,
+non-decimal, 641- or 5000-digit `--m` or `--max-m`, or a dimension of
+10**20 and no row selection. Every one should exit 2.
 
 Last, the parser and the largest enumeration: `--help` of the program and
 of every command, two usage errors, and `eval` of a 24-vertex edge list,
@@ -30,7 +35,12 @@ terminal's width (or `COLUMNS`), so compare runs made at the same width.
 The commands run in this process through `bclayout.cli.run`. A digest
 covers standard output, standard error (with any search time removed) and
 the file an `-o` command wrote, if any, with the temporary directory's path
-replaced by `$TMP`, as it is in the printed argv. Exit status: 0.
+replaced by `$TMP`, as it is in the printed argv; an argument of more
+than 64 characters is printed as its first 16 and its length. A command
+that raises instead of returning an exit status (an uncaught exception,
+a traceback from the console script) gets the digest of the exception's
+type and message and exit status 1, as the interpreter would give it.
+Exit status: 0.
 """
 
 from __future__ import annotations
@@ -64,6 +74,7 @@ BAD_GRAPHS = [(f"edge-{name}", GRAPH.replace("[0,1],", f"[0,{bad}],")) for name,
     ("bool", "true"), ("float", "1.0"), ("big", BIG), ("str", '"1"'))]
 BAD_GRAPHS += [(f"phi-{name}", GRAPH.replace('"phi":[0,1]', f'"phi":[{bad},1]')) for name, bad in (
     ("bool", "false"), ("float", "0.0"), ("big", BIG), ("str", '"0"'))]
+BAD_GRAPHS += [("dimension-huge", '{"dimension":100000000000000000000,"edges":[]}')]
 TOKENS = (("plus", "+1"), ("underscore", "0_1"), ("arabic", "\u0661"), ("float", "1.0"),
           ("bool", "True"), ("big", BIG), ("long", "1" * 5000))
 BAD_EDGES = [(f"row-{name}", EDGES.replace("0 1\n", f"0 {bad}\n")) for name, bad in TOKENS]
@@ -72,7 +83,15 @@ BAD_EDGES += [("header-plus", EDGES.replace("4 4", "+4 4")),
 BAD_ARRANGEMENTS = [(f"position-{name}", ARRANGEMENT.replace("0 1\n", f"0 {bad}\n"))
                     for name, bad in TOKENS]
 BAD_ARRANGEMENTS += [("position-huge", ARRANGEMENT.replace("0 1\n", f"0 {2**70}\n"))]
-BAD_TABLES = [["--m", ","], ["--m="], ["--m", "0"], ["--max-m", "0"], ["--m", "\u0663,+2"]]
+HUGE = str(10**20)  # a dimension whose rows exceed 64 bits
+BAD_TABLES = [["-n", "3", *option] for option in (
+    ["--m", ","], ["--m="], ["--m", "0"], ["--max-m", "0"], ["--m", "\u0663,+2"],
+    ["--m", "1" * 641], ["--m", "1" * 5000])]
+BAD_TABLES += [["-n", HUGE]]
+# row selections, the README's among them
+TABLES = [["-n", "40", "--max-m", "4"], ["-n", "3", "--max-m", "100"],
+          ["-n", "5", "--m", "7,3,31"], ["-n", "63", "--m", str(2**63 - 1)],
+          ["-n", "100", "--m", "3"], ["-n", HUGE, "--m", "3"], ["-n", HUGE, "--max-m", "2"]]
 COMMANDS = ("build", "table", "arrange", "eval", "certify", "solve", "verify")
 USAGE_ERRORS = [["frobnicate"], ["table", "-n", "x"]]
 # a 24-vertex circulant, each vertex joined to the next and the fifth after it
@@ -111,6 +130,8 @@ def commands(tmp: str, dimensions=DIMENSIONS) -> Iterator[tuple[list[str], bool]
         yield ["certify", "-i", graph], True
         if int(family[3]) in SOLVE_DIMENSIONS:
             yield ["solve", *family], False
+    for n in dimensions:
+        yield ["table", "-n", str(n)], True
 
 
 def rejections(tmp: str) -> Iterator[tuple[list[str], bool]]:
@@ -134,7 +155,7 @@ def rejections(tmp: str) -> Iterator[tuple[list[str], bool]]:
     for name, text in BAD_ARRANGEMENTS:
         path = write(f"{name}.arr", text)
         argvs += [["eval", "-g", graph, "-a", path], ["eval", "-g", edges, "-a", path]]
-    argvs += [["table", "-n", "3", *option] for option in BAD_TABLES]
+    argvs += [["table", *option] for option in BAD_TABLES]
     for i, argv in enumerate(argvs):
         yield argv, True
         yield [*argv, "-o", os.path.join(tmp, f"rejected-{i}.out")], True
@@ -156,7 +177,10 @@ def extras(tmp: str) -> list[tuple[list[str], bool]]:
 def digest(argv: list[str], with_stderr: bool, tmp: str) -> tuple[str, int]:
     """The sha256 of what `argv` wrote, and its exit status."""
     out, err = io.StringIO(), io.StringIO()
-    status = cli.run(argv, stdout=out, stderr=err)
+    try:
+        status = cli.run(argv, stdout=out, stderr=err)
+    except Exception as exc:  # what the console script would end with a traceback
+        return hashlib.sha256(f"{type(exc).__name__}: {exc}".encode()).hexdigest(), 1
     h = hashlib.sha256(out.getvalue().replace(tmp, "$TMP").encode())
     if with_stderr:
         text = re.sub(r"search took \S+\n", "", err.getvalue())
@@ -170,11 +194,15 @@ def digest(argv: list[str], with_stderr: bool, tmp: str) -> tuple[str, int]:
 
 def lines(dimensions=DIMENSIONS) -> Iterator[str]:
     """One `sha256 exit argv` line per command of the matrix, then of the
-    rejection matrix, then of the extras."""
+    row selections, the rejection matrix and the extras."""
+    tables = [(["table", *argv], True) for argv in TABLES]
     with tempfile.TemporaryDirectory() as tmp:
-        for argv, with_stderr in chain(commands(tmp, dimensions), rejections(tmp), extras(tmp)):
+        for argv, with_stderr in chain(commands(tmp, dimensions), tables, rejections(tmp),
+                                       extras(tmp)):
             sha, status = digest(argv, with_stderr, tmp)
-            yield f"{sha} {status} {' '.join(argv).replace(tmp, '$TMP')}"
+            shown = (a.replace(tmp, "$TMP") for a in argv)
+            shown = (a if len(a) <= 64 else f"{a[:16]}...({len(a)} chars)" for a in shown)
+            yield f"{sha} {status} {' '.join(shown)}"
 
 
 def main() -> int:
