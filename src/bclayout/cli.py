@@ -50,6 +50,14 @@ class _Parser(argparse.ArgumentParser):  # subparsers take the same class
         raise SystemExit(2)
 
 
+def _integer(text: str) -> int:
+    """An integer option's value: one token of the text formats, ASCII
+    decimal of at most 640 digits (`formats._TOKEN`)."""
+    if formats._TOKEN.fullmatch(text) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {formats._shown(text)!r}")
+    return int(text)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first `run` and kept for the process."""
@@ -65,11 +73,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_family_options(p, required):
         p.add_argument("--family", choices=families.KINDS, required=required)
-        p.add_argument("-n", "--dimension", type=int)
-        p.add_argument("--seed", type=int, help="seed for the random family")
+        p.add_argument("-n", "--dimension", type=_integer)
+        p.add_argument("--seed", type=_integer, help="seed for the random family")
         p.add_argument(
             "--cap",
-            type=int,
+            type=_integer,
             default=DEFAULT_DIMENSION_CAP,
             help="materialization cap on the dimension",
         )
@@ -85,8 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_build)
 
     p = sub.add_parser("table", help="emit the m,I,theta CSV for a dimension")
-    p.add_argument("-n", "--dimension", type=int, required=True)
-    p.add_argument("--max-m", type=int, help="emit rows for m = 1..MAX_M")
+    p.add_argument("-n", "--dimension", type=_integer, required=True)
+    p.add_argument("--max-m", type=_integer, help="emit rows for m = 1..MAX_M")
     p.add_argument("--m", help="comma-separated list of m values")
     p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_table)
@@ -128,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("verify", help="run the bundled verification suites")
-    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    p.add_argument("--seed", type=_integer, default=verify.DEFAULT_SEED)
     p.add_argument(
         "--suite",
         action="append",

@@ -20,6 +20,10 @@ empty word for the groups above it. The literals around the values
 grid. `bytes.translate` deletes the NULs and the rest is the ASCII text.
 The `m,I,theta` rows of `write_isoperimetric_table` are the one text output
 not written by `_format_rows`: their integers can exceed 64 bits.
+
+Graph JSON that is exactly what `dump_graph_json` writes is read in bulk:
+numpy reads its integers, the writer writes them again, and the text is
+taken when every byte matches. Any other text is read by `json.loads`.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from __future__ import annotations
 import functools
 import json
 import re
+import sys
 from dataclasses import dataclass
-from itertools import repeat
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -66,8 +70,8 @@ _LEAVES = '{"leaf":true},"right":{"leaf":true},'
 def _tree_layout(k: int) -> tuple[list[str], np.ndarray]:
     """A dimension-k tree as `dump_graph_json` writes it, split around its
     2**(k-1) - 1 phi arrays (`"phi":[...]`, each closing its node after both
-    subtrees): the 2**(k-1) pieces of text between them, and the index in
-    text order of each array, level 2 first, blocks in order."""
+    subtrees): the 2**(k-1) pieces of text between them, and the level of
+    each array in text order."""
     if k == 1:
         return ['{"leaf":true}'], np.zeros(0, dtype=np.intp)
     inner, levels = [], np.array([2])
@@ -77,7 +81,7 @@ def _tree_layout(k: int) -> tuple[list[str], np.ndarray]:
         # opening, the right child's, then `}` before the root's phi array
         inner = inner + ['},"right":' + '{"left":' * (d - 2) + _LEAVES] + inner + ["},"]
         levels = np.concatenate([levels, levels, [d]])
-    return ['{"left":' * (k - 1) + _LEAVES, *inner, "}"], np.argsort(levels, kind="stable")
+    return ['{"left":' * (k - 1) + _LEAVES, *inner, "}"], levels
 
 
 @dataclass(frozen=True)
@@ -98,17 +102,11 @@ class GraphDocument:
         return BcGraph(self.dimension, self.graph, self.tree)
 
 
-# The edge array as `build` writes it: compact pairs of canonical decimal
-# integers (at most 18 digits, so every value fits int64). The repeat is
-# possessive: a greedy one keeps a backtracking entry per pair.
-_INT = r"(?:0|[1-9][0-9]{0,17})"
-_EDGES = re.compile(rf'"edges":(\[(?:\[{_INT},{_INT}\](?:,\[{_INT},{_INT}\])*+)?\])')
-_PHI = re.compile(rf'"phi":\[({_INT}(?:,{_INT})*+)\]')
-_NO_BRACKETS = str.maketrans("", "", "[]")
 # An integer of the edge-list and arrangement texts and of `table --m`: at
 # most 640 digits, the least limit int() can be set to, so every match converts.
 _TOKEN = re.compile(r"-?[0-9]{1,640}")
 _PAIR = re.compile(rf"({_TOKEN.pattern})\s+({_TOKEN.pattern})")  # a line of those texts
+_NOT_DIGITS = str.maketrans({chr(c): " " for c in range(128) if not "0" <= chr(c) <= "9"})
 # integers per write: cut counts, or the values of edge rows, arrangement
 # lines or a level of a subtree's phi rows (at most this many leaves); at up
 # to 8 digits a value, a block's word grid stays below 64 KB, well under
@@ -121,12 +119,19 @@ _REPORT_CUTS = 32  # cut counts a human-readable report shows
 def dump_graph_json(doc: GraphDocument, fp: IO[str]) -> None:
     if doc.dimension is None:
         raise ValueError("graph JSON requires a dimension")
-    fp.write(f'{{"dimension":{json.dumps(doc.dimension)},"edges":[')
-    _write_rows(fp, doc.graph.edge_array, "[", ",", "],", "]")
+    levels = None if doc.tree is None else doc.tree.levels
+    _write_graph_json(fp, doc.dimension, doc.graph.edge_array, levels)
+
+
+def _write_graph_json(fp: IO[str], dimension: int, edges: np.ndarray, levels) -> None:
+    """`dump_graph_json`'s text from its numbers (levels None: no tree), which
+    the bulk reader writes again to check a text."""
+    fp.write(f'{{"dimension":{json.dumps(dimension)},"edges":[')
+    _write_rows(fp, edges, "[", ",", "],", "]")
     fp.write("]")
-    if doc.tree is not None:
+    if levels is not None:
         fp.write(',"tree":')
-        _dump_tree(doc.tree.levels, doc.tree.dimension, 0, fp)
+        _dump_tree(levels, len(levels) + 1, 0, fp)
     fp.write("}\n")
 
 
@@ -220,7 +225,8 @@ def _dump_tree(levels, d: int, b: int, fp: IO[str]) -> None:
         _write_rows(fp, phis[which[b]], "", "", ",", "")
         fp.write("]}")
         return
-    pieces, order = _tree_layout(d)
+    pieces, in_text = _tree_layout(d)
+    order = np.argsort(in_text, kind="stable")
     rows = np.empty(len(order), dtype=object)
     at = 0
     for e in range(2, d + 1):  # the block's rows at level e, one format for all
@@ -242,75 +248,66 @@ def _parse_graph_json(text: str) -> GraphDocument:
     bulk = _bulk_graph_json(text)
     if bulk is not None:
         return _graph_document(*bulk)
-    # JSON nested beyond the interpreter's recursion limit is malformed input.
+    # JSON nested beyond the interpreter's recursion limit is malformed input,
+    # and so is an integer literal with more digits than int() may convert
     try:
-        return _graph_document(json.loads(text))
+        data = json.loads(text)
     except RecursionError as exc:
         raise ValueError("graph JSON nests too deeply") from exc
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"graph JSON holds an integer of more than {limit} digits") from exc
+    return _graph_document(data)
 
 
 def _bulk_graph_json(text: str):
-    """(members, edge array, tree rows or None) of a document whose edges
-    are laid out as `dump_graph_json` writes them, or None for any other
-    text.
-
-    The edge span is checked by one pattern and parsed by numpy, and so is
-    a tree laid out as written right after it (`_bulk_tree`); the rest is
-    parsed by json with `[]` in their place. The rest must parse and its
-    top-level `edges` (and `tree`) must be that `[]`; with no escapes and
-    one `"edges"` in the text, each span is then exactly the value
-    json.loads would read.
-    """
-    if "\\" in text or text.count('"edges"') != 1:
+    """(members, edge array, tree rows or None) of a text that is exactly
+    what `dump_graph_json` writes, or None for any other text. numpy reads
+    the integers of the dimension, the edges and the tree, the writer writes
+    the document again from them, and every byte must match: no other layout
+    or spelling passes, nor a value beyond int64, which numpy reads as 2**63 - 1."""
+    if not text.isascii() or not text.startswith('{"dimension":'):
         return None
-    match = _EDGES.match(text, text.index('"edges"'))
-    if match is None:
+    tree_at, end = text.find(',"tree":'), len(text) - len("}\n")
+    head = _digits(text, 0, end if tree_at < 0 else tree_at)  # the dimension, then the edges
+    if len(head) % 2 == 0:
         return None
-    lo, hi = match.span(1)
-    # the numbers first, so their text is freed before the rest is parsed
-    nums = np.fromstring(text[lo:hi].translate(_NO_BRACKETS), dtype=np.int64, sep=",")
-    # the tree, when it is the last member: up to the document's closing brace
-    start, end, rows = hi + len(',"tree":'), text.rfind("}"), None
-    if text.startswith(',"tree":', hi):
-        rows = _bulk_tree(text[start:end])
-    if rows is None:
-        rest = text[:lo] + "[]" + text[hi:]
-    else:
-        rest = text[:lo] + "[]" + text[hi:start] + "[]" + text[end:]
-    try:
-        data = json.loads(rest)
-    except (ValueError, RecursionError):
+    k, edges, rows, levels = int(head[0]), head[1:].reshape(-1, 2), None, None
+    if tree_at >= 0:
+        flat = _digits(text, tree_at, end)
+        if not 0 < k < 64 or len(flat) != (k - 1) << (k - 1):  # 2**(k-1) entries a level
+            return None
+        in_text = _tree_layout(k)[1]
+        widths = 1 << (in_text - 1)
+        starts = np.cumsum(widths) - widths  # of each phi array in `flat`
+        rows = [flat[starts[in_text == d, None] + np.arange(1 << (d - 1))] for d in range(2, k + 1)]
+        levels = [(row, np.arange(len(row))) for row in rows]
+    replay = _Replay(text)
+    _write_graph_json(replay, k, edges, levels)
+    if not replay.same or replay.at != len(text):
         return None
-    if not isinstance(data, dict) or data.get("edges") != []:
-        return None
-    if rows is not None and data.get("tree") != []:
-        return None
-    return data, nums.reshape(-1, 2), rows
+    return {"dimension": k, "edges": []}, edges, rows
 
 
-def _bulk_tree(text: str):
-    """Each level's phi rows, level 2 first, of a tree laid out exactly as
-    `dump_graph_json` writes it, or None for any other text. The dimension
-    comes from the number of phi arrays, so the work is bounded by the
-    text; every array must hold the entry count of its level."""
-    parts = _PHI.split(text)
-    found = parts[1::2]  # digits of each phi array, in text order
-    k = len(found).bit_length() + 1
-    if len(found) != (1 << (k - 1)) - 1:
-        return None
-    pieces, order = _tree_layout(k)
-    if parts[::2] != pieces:
-        return None
-    if k == 1:
-        return []
-    found = [found[i] for i in order.tolist()]
-    commas = np.fromiter(map(str.count, found, repeat(",")), np.int64, len(found))
-    widths = np.repeat(1 << np.arange(1, k), 1 << np.arange(k - 2, -1, -1))
-    if not np.array_equal(commas + 1, widths):  # array by array: no entry may move
-        return None
-    nums = np.fromstring(",".join(found), dtype=np.int64, sep=",")
-    # each level holds 2**(k-1) entries: 2**(k-d) rows of 2**(d-1)
-    return [row.reshape(-1, 1 << d) for d, row in enumerate(nums.reshape(k - 1, -1), 1)]
+def _digits(text: str, lo: int, hi: int) -> np.ndarray:
+    """The integers of ASCII text[lo:hi] as int64, any non-digit a separator."""
+    spaced = text[lo:hi].translate(_NOT_DIGITS)  # the slice is freed before numpy runs
+    if spaced.isspace():  # numpy reads blank text as [0]
+        return np.zeros(0, dtype=np.int64)
+    return np.fromstring(spaced, dtype=np.int64, sep=" ")
+
+
+class _Replay:
+    """A write target that checks each piece against `text` where the last ended."""
+
+    def __init__(self, text: str):
+        self.text, self.at, self.same = text, 0, True
+
+    def write(self, piece: str) -> None:
+        self.same = self.same and self.text.startswith(piece, self.at)
+        self.at += len(piece)
 
 
 def _graph_document(data, edge_array=None, tree_rows=None) -> GraphDocument:

@@ -121,20 +121,31 @@ BAD_MS += [("--max-m", "0"), ("--max-m", "-2"), ("--m", ","), ("--m", "")]
 BAD_MS += [("--m", "\u0663,+2"), ("--m", "3,1_0")]  # `int` reads both: not ASCII decimal
 # longer than a token: `int` reads 641 digits and refuses 5000 with its advice
 BAD_MS += [("--m", "1" * 641), ("--m", "1" * 5000)]
+# -n and --max-m take the same tokens, refused by the parser; a dimension of
+# 4300 nines is one `int` reads, and its rows one `str` refuses
+BAD_MS += [(o, t) for o in ("-n", "--max-m") for t in ("\u0663", "1_0", "+3", "1" * 641)]
+BAD_MS += [("-n", "9" * 4300)]
 
 
 @pytest.mark.parametrize(
     "option, ms", BAD_MS,
-    ids=[(m if len(m) < 20 else f"{len(m)}-digits") if o == "--m" else f"{o}={m}"
+    ids=[f"{'' if o == '--m' else o + '='}{m if len(m) < 20 else f'{len(m)}-digits'}"
          for o, m in BAD_MS],
 )
 def test_table_rejects_a_bad_m_before_writing(tmp_path, option, ms):
     path = tmp_path / "t.csv"
+    rows = ["--max-m", "20"] if option == "-n" else []  # -n 3 -n MS --max-m 20
     for output in ([], ["-o", str(path)]):
-        status, out, err = invoke("table", "-n", "3", option, ms, *output)
+        status, out, err = invoke("table", "-n", "3", option, ms, *rows, *output)
         assert (status, out) == (2, "")
-        assert err.startswith("error: m must be in 1..2**3, got ")
-        assert len(err) < 100  # a long token is cut as a malformed line is
+        if option == "--m" or formats._TOKEN.fullmatch(ms):
+            assert err.startswith("error: m must be in 1..2**3, got ")
+            assert len(err) < 100  # a long token is cut as a malformed line is
+        else:  # the parser refuses the token
+            flag = "-n/--dimension" if option == "-n" else option
+            assert err.startswith("usage: bclayout table ")
+            assert err.endswith(
+                f"error: argument {flag}: invalid int value: {formats._shown(ms)!r}\n")
     assert not path.exists()
 
 
@@ -581,6 +592,27 @@ def test_boolean_dimension_is_input_error(tmp_path):
     gpath = tmp_path / "g.json"
     gpath.write_text('{"dimension":true,"edges":[[0,1]],"tree":{"leaf":true}}')
     assert_input_error("certify", "-i", str(gpath))
+
+
+# json.dumps refuses such an integer too, so these are written as text
+LONG_INTEGER_GRAPHS = [
+    '{"dimension":' + "9" * 5000 + ',"edges":[]}',
+    '{"dimension":2,"edges":[[0,' + "1" * 4301 + "]]}\n",
+    '{"dimension":2,"edges":[],"tree":{"left":{"leaf":true},"right":{"leaf":true},'
+    '"phi":[0,' + "1" * 4301 + "]}}\n",
+]
+
+
+@pytest.mark.parametrize("text", LONG_INTEGER_GRAPHS, ids=["dimension", "edge", "phi"])
+@pytest.mark.parametrize("command", ["certify", "eval"])
+def test_a_graph_json_integer_beyond_int_digit_limit_is_input_error(tmp_path, text, command):
+    gpath, apath = tmp_path / "g.json", tmp_path / "f.txt"
+    gpath.write_text(text)
+    apath.write_text("0 1\n")
+    argv = ["certify", "-i", gpath] if command == "certify" else ["eval", "-g", gpath, "-a", apath]
+    limit = sys.get_int_max_str_digits()
+    assert invoke(*map(str, argv)) == (
+        2, "", f"error: graph JSON holds an integer of more than {limit} digits\n")
 
 
 def test_boolean_phi_entries_are_input_error(tmp_path):

@@ -574,6 +574,17 @@ DOC3 = f'{{"dimension":3,"edges":{EDGES3},"tree":{TREE3}}}\n'
         DOC.replace(TREE, TREE3),
         DOC3.replace(TREE3, TREE),
         DOC3.replace('"dimension":3', '"dimension":4'),
+        # int64's largest value, and one beyond it, which numpy saturates
+        DOC.replace("[0,1],", f"[0,{2**63 - 1}],"),
+        DOC.replace("[0,1],", f"[0,{2**63}],"),
+        DOC.replace('"phi":[0,1]', f'"phi":[0,{2**63 - 1}]'),
+        DOC.replace('"phi":[0,1]', f'"phi":[0,{2**63}]'),
+        DOC.rstrip(),
+        f'{{"dimension":3,"edges":{EDGES3}}}\n',
+        DOC.replace('"dimension":2,', '"dimension":2,"\u00e9":1,'),
+        # a tree's entry count in another layout
+        DOC.replace('"phi":[0,1]', '"phi":[0],"p1":[]'),
+        DOC3.replace(TREE3, f'{{"right":{TREE},"left":{TREE},"phi":[0,1,2,3]}}'),
     ],
 )
 def test_graph_json_edge_cases_read_like_json_loads(text):
@@ -583,13 +594,16 @@ def test_graph_json_edge_cases_read_like_json_loads(text):
 def test_build_layout_takes_the_bulk_path():
     """`build` output is read on the bulk path, and its edges arrive as one
     int64 block that the graph checks and adopts, read-only, without a copy."""
-    for text in (DOC, DOC.replace(EDGES, "[]"), f'{{"edges":{EDGES},"dimension":2}}'):
+    flat = [graph_json("hypercube", 5, None, False), graph_json("random", 5, 1, False)]
+    for text in (DOC, DOC.replace(EDGES, "[]"), f'{{"dimension":2,"edges":{EDGES}}}\n', *flat):
         data, edges, rows = _bulk_graph_json(text)
         assert data["edges"] == []
         assert edges.tolist() == json.loads(text)["edges"] and edges.dtype == np.int64
         adopted = _graph_document(data, edges, rows).graph.edge_array
         assert adopted is edges and not adopted.flags.writeable
-    for text in (DOC.replace("[0,1],", "[0, 1],"), DOC.replace("[0,1],", "[-0,1],")):
+    # only `build`'s bytes: not reordered members
+    for text in (DOC.replace("[0,1],", "[0, 1],"), DOC.replace("[0,1],", "[-0,1],"),
+                 f'{{"edges":{EDGES},"dimension":2}}'):
         assert _bulk_graph_json(text) is None
 
 

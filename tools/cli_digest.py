@@ -20,12 +20,14 @@ Then `table` with selected rows (`--max-m`, `--m`, dimensions up to
 
 Then the rejection matrix, each command once to standard output and once
 with `-o`: malformed graph JSON (a bool, float, oversized or string edge
-endpoint or phi entry, or a dimension of 10**20) through `certify -i`,
-`arrange -i`, `solve -i` and `eval -g`; edge lists and arrangements whose
-integers are not ASCII decimal, not integers or of 5000 digits, through
-`solve -i` and `eval`; and `table` with an empty, out-of-range,
-non-decimal, 641- or 5000-digit `--m` or `--max-m`, or a dimension of
-10**20 and no row selection. Every one should exit 2.
+endpoint or phi entry, or a dimension of 10**20 or of 5000 digits)
+through `certify -i`, `arrange -i`, `solve -i` and `eval -g`; edge lists
+and arrangements whose integers are not ASCII decimal, not integers or of
+5000 digits, through `solve -i` and `eval`; and `table` with an empty,
+out-of-range, non-decimal, 641- or 5000-digit `--m` or `--max-m`, a
+non-decimal or 641-digit `-n`, a dimension of 4300 digits with
+`--max-m 20`, or a dimension of 10**20 and no row selection. Every one
+should exit 2.
 
 Last, the parser and the largest enumeration: `--help` of the program and
 of every command, two usage errors, and `eval` of a 24-vertex edge list,
@@ -74,7 +76,8 @@ BAD_GRAPHS = [(f"edge-{name}", GRAPH.replace("[0,1],", f"[0,{bad}],")) for name,
     ("bool", "true"), ("float", "1.0"), ("big", BIG), ("str", '"1"'))]
 BAD_GRAPHS += [(f"phi-{name}", GRAPH.replace('"phi":[0,1]', f'"phi":[{bad},1]')) for name, bad in (
     ("bool", "false"), ("float", "0.0"), ("big", BIG), ("str", '"0"'))]
-BAD_GRAPHS += [("dimension-huge", '{"dimension":100000000000000000000,"edges":[]}')]
+BAD_GRAPHS += [("dimension-huge", '{"dimension":100000000000000000000,"edges":[]}'),
+               ("dimension-long", '{"dimension":' + "9" * 5000 + ',"edges":[]}')]
 TOKENS = (("plus", "+1"), ("underscore", "0_1"), ("arabic", "\u0661"), ("float", "1.0"),
           ("bool", "True"), ("big", BIG), ("long", "1" * 5000))
 BAD_EDGES = [(f"row-{name}", EDGES.replace("0 1\n", f"0 {bad}\n")) for name, bad in TOKENS]
@@ -88,6 +91,9 @@ BAD_TABLES = [["-n", "3", *option] for option in (
     ["--m", ","], ["--m="], ["--m", "0"], ["--max-m", "0"], ["--m", "\u0663,+2"],
     ["--m", "1" * 641], ["--m", "1" * 5000])]
 BAD_TABLES += [["-n", HUGE]]
+BAD_TABLES += [option for token in ("\u0663", "1_0", "+3", "1" * 641)
+               for option in (["-n", token, "--max-m", "3"], ["-n", "3", "--max-m", token])]
+BAD_TABLES += [["-n", "9" * 4300, "--max-m", "20"]]
 # row selections, the README's among them
 TABLES = [["-n", "40", "--max-m", "4"], ["-n", "3", "--max-m", "100"],
           ["-n", "5", "--m", "7,3,31"], ["-n", "63", "--m", str(2**63 - 1)],
