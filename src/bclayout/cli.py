@@ -11,6 +11,7 @@ import argparse
 import contextvars
 import functools
 import json
+import re
 import sys
 from contextlib import contextmanager
 
@@ -56,6 +57,13 @@ def _integer(text: str) -> int:
     if formats._TOKEN.fullmatch(text) is None:
         raise argparse.ArgumentTypeError(f"invalid int value: {formats._shown(text)!r}")
     return int(text)
+
+
+def _seconds(text: str) -> float:
+    """`--budget`'s value: ASCII digits and an optional `.digits` fraction, 640 at most each."""
+    if re.fullmatch(r"[0-9]{1,640}(\.[0-9]{1,640})?", text) is None:
+        raise argparse.ArgumentTypeError(f"invalid float value: {formats._shown(text)!r}")
+    return float(text)
 
 
 @functools.cache
@@ -131,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("auto", "exhaustive", "branch-and-bound"),
         default="auto",
     )
-    p.add_argument("--budget", type=float, help="time budget in seconds")
+    p.add_argument("--budget", type=_seconds, help="time budget in seconds")
     p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_solve)
 
@@ -163,24 +171,24 @@ def _family_spec_from_args(args) -> families.FamilySpec:
     return families.FamilySpec(args.family, args.dimension, args.seed)
 
 
-def _source(args, load):
+def _source(args):
     """The FamilySpec from --family flags (trusted), its cap and seed
-    checked and nothing built, or the GraphDocument that `load` reads from
-    --input (untrusted); the other one is None."""
+    checked and nothing built, or the GraphDocument that
+    `formats.load_graph_any` reads from --input (untrusted); the other one is None."""
     if (args.family is None) == (args.input is None):
         raise ValueError("provide exactly one of --family or --input")
     if args.family is None:
         with open(args.input) as fp:
-            return None, load(fp)
+            return None, formats.load_graph_any(fp)
     spec = _family_spec_from_args(args)
     families.check_spec(spec, cap=args.cap)
     return spec, None
 
 
 def _tree_source(args):
-    """The dimension and, for --input, the graph JSON document, which must
-    carry a construction tree; for --family the document is None."""
-    spec, doc = _source(args, formats.load_graph_json)
+    """The dimension and, for --input, the graph document, which must carry
+    a construction tree; for --family the document is None."""
+    spec, doc = _source(args)
     if spec is not None:
         return spec.dimension, None
     if doc.tree is None:
@@ -207,7 +215,7 @@ def _cmd_table(args, out, err) -> int:
     n = args.dimension
     _check_boundary_args(n, 1)  # the dimension, before any m
     if args.m is not None:
-        tokens = [tok.strip() for tok in args.m.split(",") if tok.strip()]
+        tokens = list(filter(None, (tok.strip(formats._BLANKS) for tok in args.m.split(","))))
         if not tokens:
             raise ValueError(f"m must be in 1..2**{n}, got no value")
         for tok in tokens:
@@ -273,7 +281,7 @@ def _emit_report(report, args, out) -> None:
 
 
 def _cmd_solve(args, out, err) -> int:
-    spec, doc = _source(args, formats.load_graph_any)
+    spec, doc = _source(args)
     size = doc.graph.vertex_count if spec is None else 1 << spec.dimension
     mode = args.mode
     if mode == "auto":

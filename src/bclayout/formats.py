@@ -6,7 +6,8 @@ Graph JSON schema: an object with `dimension` (integer), `edges` (array of
 [...]}`). The plain edge-list text format is `N M` on the first line, then
 M lines `u v`; arrangement files hold one `vertex_id position` line per
 vertex. All integers are written in exact decimal, never scientific
-notation, so values survive round trips at any magnitude.
+notation, so values survive round trips at any magnitude. The texts split
+into lines at line feeds only; their blanks are JSON's four, `_BLANKS`.
 
 Every block of integers (edge rows, arrangement lines, phi rows, cut counts)
 is written by one numpy writer, `_format_rows`, a block of `_BLOCK` values
@@ -105,7 +106,8 @@ class GraphDocument:
 # An integer of the edge-list and arrangement texts and of `table --m`: at
 # most 640 digits, the least limit int() can be set to, so every match converts.
 _TOKEN = re.compile(r"-?[0-9]{1,640}")
-_PAIR = re.compile(rf"({_TOKEN.pattern})\s+({_TOKEN.pattern})")  # a line of those texts
+_BLANKS = " \t\n\r"  # JSON's whitespace, the one blank set of the text formats
+_PAIR = re.compile(rf"({_TOKEN.pattern})[{_BLANKS}]+({_TOKEN.pattern})")  # a trimmed line
 _NOT_DIGITS = str.maketrans({chr(c): " " for c in range(128) if not "0" <= chr(c) <= "9"})
 # integers per write: cut counts, or the values of edge rows, arrangement
 # lines or a level of a subtree's phi rows (at most this many leaves); at up
@@ -345,7 +347,7 @@ def dump_edge_list(graph: Graph, fp: IO[str]) -> None:
 
 def load_edge_list(fp: Iterable[str]) -> Graph:
     """Read the edge-list format from an open text file or a list of lines."""
-    lines = [line for line in map(str.strip, fp) if line]
+    lines = list(filter(None, (line.strip(_BLANKS) for line in fp)))
     if not lines:
         raise ValueError("empty edge-list file")
     n, m = next(_int_pairs(lines[:1], "edge-list header must be 'N M'"))
@@ -382,7 +384,8 @@ def dump_arrangement(arrangement: LinearArrangement, fp: IO[str]) -> None:
 
 def load_arrangement(fp: IO[str]) -> LinearArrangement:
     pairs: dict[int, int] = {}
-    for v, p in _int_pairs(filter(None, map(str.strip, fp)), "malformed arrangement line: {!r}"):
+    lines = filter(None, (line.strip(_BLANKS) for line in fp))
+    for v, p in _int_pairs(lines, "malformed arrangement line: {!r}"):
         if v in pairs:
             raise ValueError(f"vertex {v} listed twice")
         pairs[v] = p
@@ -397,9 +400,9 @@ def load_arrangement(fp: IO[str]) -> LinearArrangement:
 def load_graph_any(fp: IO[str]) -> GraphDocument:
     """Read either format; JSON when the first non-blank byte is '{'."""
     text = fp.read()
-    if text.lstrip().startswith("{"):
+    if text.lstrip(_BLANKS).startswith("{"):
         return _parse_graph_json(text)
-    return GraphDocument(load_edge_list(text.splitlines()))
+    return GraphDocument(load_edge_list(text.split("\n")))  # the lines a text file yields
 
 
 def dump_report_json(report: LayoutReport, fp: IO[str]) -> None:

@@ -61,10 +61,9 @@ def _seeds(base_seed: int, count: int) -> list[int]:
 def _family_members(
     n: int, seeds: list[int], random_count: int
 ) -> Iterator[tuple[str, BcGraph]]:
-    yield "hypercube", families.hypercube(n)
-    yield "locally-twisted", families.locally_twisted(n)
-    yield "mobius-0", families.mobius(n, 0)
-    yield "mobius-1", families.mobius(n, 1)
+    for kind in families.KINDS:
+        if kind != "random":  # the seeded members follow, one per seed
+            yield kind, families.build(families.FamilySpec(kind, n))
     for i in range(random_count):
         yield f"random[{i}]", families.random_bc(n, seeds[i])
 

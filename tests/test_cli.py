@@ -20,7 +20,7 @@ from bclayout import cli, core, families, formats, layout
 from bclayout.cli import run
 from bclayout.formats import load_graph_json
 
-from mutations import examples, mutated
+from mutations import LINE_BREAKS, NON_JSON_BLANKS, examples, mutated
 
 
 def invoke(*argv):
@@ -110,6 +110,12 @@ def test_table_large_dimension_needs_row_selection(n, max_m):
     assert (status, out.splitlines()) == (0, ["m,I,theta", *rows])
 
 
+def test_table_m_items_are_trimmed_of_json_blanks():
+    rows = invoke("table", "-n", "5", "--m", "7,3,31")
+    assert rows[0] == 0
+    assert invoke("table", "-n", "5", "--m", " 7,\t3 ,\r31\n,") == rows
+
+
 def test_table_max_m_below_1_fails_at_dimension_1():
     for max_m in ("0", "-1", "-2"):  # -2 has more bits than n
         assert invoke("table", "-n", "1", "--max-m", max_m) == (
@@ -119,6 +125,8 @@ def test_table_max_m_below_1_fails_at_dimension_1():
 BAD_MS = [("--m", m) for m in ("1,9", "9", "1,0", "0", "2,-1", "8,7,6,5,4,3,2,1,9")]
 BAD_MS += [("--max-m", "0"), ("--max-m", "-2"), ("--m", ","), ("--m", "")]
 BAD_MS += [("--m", "\u0663,+2"), ("--m", "3,1_0")]  # `int` reads both: not ASCII decimal
+# a blank JSON does not have around an item
+BAD_MS += [("--m", f"3{b},1") for b in NON_JSON_BLANKS] + [("--m", "3,\xa01")]
 # longer than a token: `int` reads 641 digits and refuses 5000 with its advice
 BAD_MS += [("--m", "1" * 641), ("--m", "1" * 5000)]
 # -n and --max-m take the same tokens, refused by the parser; a dimension of
@@ -150,10 +158,13 @@ def test_table_rejects_a_bad_m_before_writing(tmp_path, option, ms):
 
 
 # integers a text file must not hold, each written for the digit 1 or 4;
-# `int` reads the first three as that digit, and refuses the last one for
-# its 5000 digits, more than its default limit
+# `int` reads the first three as that digit, and refuses the sixth for its
+# 5000 digits, more than its default limit; the rest stand beside a blank
+# JSON does not have, around the line or between its tokens
 NON_DECIMAL = [lambda d: f"+{d}", lambda d: f"0_{d}", lambda d: chr(0x660 + d),
                lambda d: f"{d}.0", lambda d: f"0x{d}", lambda d: str(d) * 5000]
+NON_DECIMAL += [lambda d, b=b: f"{b}{d}" for b in NON_JSON_BLANKS]
+NON_DECIMAL += [lambda d, b=b: f"{d}{b}" for b in NON_JSON_BLANKS]
 EDGE_LIST, IDENTITY = "4 4\n0 1\n0 2\n1 3\n2 3\n", "0 1\n1 2\n2 3\n3 4\n"
 
 
@@ -192,11 +203,12 @@ def test_arrange_and_eval_round_trip(tmp_path):
     assert report["optimal"] is True
 
 
-def test_eval_generic_graph_without_tree(tmp_path):
+@pytest.mark.parametrize("newline, blank", [("\n", " "), ("\r\n", "\t"), ("\n", " \t ")])
+def test_eval_generic_graph_without_tree(tmp_path, newline, blank):
     gpath = tmp_path / "g.edges"
     apath = tmp_path / "f.txt"
-    gpath.write_text("4 4\n0 1\n2 3\n0 2\n1 3\n")
-    apath.write_text("0 1\n1 3\n2 4\n3 2\n")
+    for path, text in ((gpath, "4 4\n0 1\n2 3\n0 2\n1 3\n"), (apath, "0 1\n1 3\n2 4\n3 2\n")):
+        path.write_bytes(text.replace(" ", blank).replace("\n", newline).encode())
     status, out, _ = invoke("eval", "-g", str(gpath), "-a", str(apath))
     assert status == 0
     report = json.loads(out)
@@ -204,6 +216,25 @@ def test_eval_generic_graph_without_tree(tmp_path):
     assert report["lower_bound"] == 6
     assert report["closed_form"] is None
     assert report["optimal"] is False
+
+
+@pytest.mark.parametrize("sep", LINE_BREAKS, ids=[f"U+{ord(c):04X}" for c in LINE_BREAKS])
+def test_an_edge_list_line_ends_at_a_line_feed_only(tmp_path, sep):
+    graph, arrangement = tmp_path / "g.edges", tmp_path / "f.txt"
+    graph.write_text(f"4 2\n0 1{sep}2 3\n", encoding="utf-8")
+    arrangement.write_text(IDENTITY)
+    for argv in (["solve", "-i", graph], ["eval", "-g", graph, "-a", arrangement]):
+        assert invoke(*map(str, argv)) == (2, "", "error: expected 2 edge lines, found 1\n")
+
+
+@pytest.mark.parametrize("command", ["arrange", "certify"])
+def test_tree_commands_refuse_an_edge_list(tmp_path, command):
+    gpath, out = tmp_path / "g.edges", tmp_path / "out"
+    gpath.write_text(EDGE_LIST)
+    message = f"error: {gpath} carries no construction tree\n"
+    for output in ([], ["-o", str(out)]):
+        assert invoke(command, "-i", str(gpath), *output) == (2, "", message)
+    assert not out.exists()
 
 
 def test_eval_rejects_inconsistent_witness(tmp_path):
@@ -423,7 +454,13 @@ def test_solve_exhaustive_budget_exhaustion():
     assert "budget" in err
 
 
-@pytest.mark.parametrize("budget", ["nan", "-1", "-0.5"])
+# a budget is ASCII digits with an optional `.digits` fraction; `float`
+# reads all of these but the last four
+BAD_BUDGETS = ["nan", "inf", "-1", "-0.5", "+2", "1e0", "1e400", " 2", "\u0661", "1_0",
+               "x", "5.", ".5", "1" * 641]
+
+
+@pytest.mark.parametrize("budget", BAD_BUDGETS, ids=[b[:8] for b in BAD_BUDGETS])
 def test_solve_rejects_a_malformed_budget_before_any_search(budget, monkeypatch):
     def no_search(*args):
         raise AssertionError("the search ran")
@@ -435,13 +472,23 @@ def test_solve_rejects_a_malformed_budget_before_any_search(budget, monkeypatch)
             "solve", "--family", "hypercube", "-n", "2", "--mode", mode, "--budget", budget
         )
         assert (status, out) == (2, "")
-        assert err.startswith("error: budget must be at least 0 seconds")
+        assert err.startswith("usage: bclayout solve ")
+        assert err.endswith(
+            f"error: argument --budget: invalid float value: {formats._shown(budget)!r}\n")
+
+
+@pytest.mark.parametrize("budget, status", [("0", 3), ("0.5", 0), ("30", 0), ("007.250", 0)])
+def test_solve_takes_a_decimal_budget(budget, status):
+    argv = ("solve", "--family", "hypercube", "-n", "3", "--mode", "exhaustive")
+    got, out, _ = invoke(*argv, "--budget", budget)
+    assert (got, json.loads(out)["proven"]) == (status, status == 0)
 
 
 def test_solve_infinite_budget_sets_no_limit():
+    # 400 digits: the largest float is below 10**309, so this reads as inf
     status, out, _ = invoke(
         "solve", "--family", "hypercube", "-n", "3", "--mode", "branch-and-bound",
-        "--budget", "inf",
+        "--budget", "9" * 400,
     )
     assert status == 0
     assert json.loads(out)["cost"] == 28 and json.loads(out)["proven"] is True

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bclayout import (
@@ -48,7 +48,7 @@ from bclayout.formats import (
 from bclayout import cli, formats
 from bclayout.layout import LayoutReport, certify
 
-from mutations import examples, mutated
+from mutations import LINE_BREAKS, NON_JSON_BLANKS, examples, mutated
 
 
 def round_trip_json(doc):
@@ -165,7 +165,11 @@ def test_edge_list_rejects_malformed():
         load_edge_list(io.StringIO("3 2\n0 1\n"))  # header promises two edges
 
 
-@pytest.mark.parametrize("token", ["+1", "0_1", "\u0661", "1.0", "0x1", "1e0", "--1", "-", "True"])
+# the last six stand beside a blank JSON does not have: around the line or
+# between its tokens
+@pytest.mark.parametrize("token", ["+1", "0_1", "\u0661", "1.0", "0x1", "1e0", "--1", "-", "True",
+                                   *(f"{b}1" for b in NON_JSON_BLANKS),
+                                   *(f"1{b}" for b in NON_JSON_BLANKS)])
 def test_text_integers_are_ascii_decimal(token):
     with pytest.raises(ValueError, match="^malformed edge line: "):
         load_edge_list(io.StringIO(f"2 1\n0 {token}\n"))
@@ -200,9 +204,30 @@ def test_text_integers_keep_their_range_messages():
         load_edge_list(io.StringIO("2 1\n-1 1\n"))
     with pytest.raises(ValueError, match=r"^positions must lie in 1\.\.2$"):
         load_arrangement(io.StringIO("0 -1\n1 1\n"))
-    # leading zeros, a negative zero and any whitespace between the tokens read
-    assert load_edge_list(io.StringIO("02 1\n-0\t 001\n")) == Graph(2, [(0, 1)])
+    # leading zeros, a negative zero and any of JSON's blanks between the tokens read
+    assert load_edge_list(io.StringIO("02 1\n-0\t\r 001\n")) == Graph(2, [(0, 1)])
     assert load_arrangement(io.StringIO("00  02\n1\t1\n")) == LinearArrangement([2, 1])
+
+
+@pytest.mark.parametrize("sep", LINE_BREAKS, ids=[f"U+{ord(c):04X}" for c in LINE_BREAKS])
+def test_a_line_ends_at_a_line_feed_only(sep):
+    text = f"4 2\n0 1{sep}2 3\n"
+    for load in (load_edge_list, load_graph_any):
+        with pytest.raises(ValueError, match="^expected 2 edge lines, found 1$"):
+            load(io.StringIO(text))
+    with pytest.raises(ValueError, match="^malformed arrangement line: "):
+        load_arrangement(io.StringIO(f"0 1{sep}1 2\n"))
+
+
+@pytest.mark.parametrize("newline, blank", [("\r\n", " "), ("\n", "\t"), ("\r\n", " \r\t")])
+def test_json_blanks_and_crlf_lines_read(newline, blank):
+    def text(lines):
+        return lines.replace(" ", blank).replace("\n", newline)
+
+    graph = Graph(4, [(0, 1), (2, 3)])
+    assert load_edge_list(io.StringIO(text("4 2\n0 1\n2 3\n"))) == graph
+    assert load_graph_any(io.StringIO(text("4 2\n0 1\n2 3\n"))) == GraphDocument(graph)
+    assert load_arrangement(io.StringIO(text("0 2\n1 1\n"))) == LinearArrangement([2, 1])
 
 
 def test_load_graph_any_sniffs_format():
@@ -213,6 +238,10 @@ def test_load_graph_any_sniffs_format():
     doc2 = load_graph_any(io.StringIO("2 1\n0 1\n"))
     assert doc2.dimension is None
     assert doc2.graph == Graph(2, [(0, 1)])
+    # JSON after JSON's blanks; after any other blank, a malformed edge list
+    assert load_graph_any(io.StringIO(" \t\r\n" + buf.getvalue())) == doc
+    with pytest.raises(ValueError, match="^edge-list header must be 'N M'$"):
+        load_graph_any(io.StringIO("\xa0" + buf.getvalue()))
 
 
 def test_arrangement_round_trip():
@@ -476,6 +505,33 @@ def assert_reads_like_json_loads(text):
 @given(graph_json_texts())
 def test_graph_json_reads_like_json_loads(text):
     assert_reads_like_json_loads(text)
+
+
+@functools.cache
+def edge_list(kind, n, seed):
+    buf = io.StringIO()
+    dump_edge_list(build_family(FamilySpec(kind, n, seed)).graph, buf)
+    return buf.getvalue()
+
+
+@st.composite
+def edge_list_texts(draw):
+    """The edge list of a structured or random graph at n = 1..5, after a
+    few random one-character edits, that does not read as JSON."""
+    kind = draw(st.sampled_from(KINDS))
+    seed = draw(st.integers(0, 3)) if kind == "random" else None
+    text = draw(mutated(edge_list(kind, draw(st.integers(1, 5)), seed)))
+    assume(not text.lstrip(" \t\n\r").startswith("{"))
+    return text
+
+
+@settings(max_examples=examples(250))
+@given(edge_list_texts())
+@example("4 2\n0 1\f2 3\n")  # a line of two edges, or two lines
+@example("2 1\n0\f1\n")  # one edge, or two lines of one integer
+def test_load_graph_any_reads_an_edge_list_as_load_edge_list(text):
+    expected = outcome(lambda t: GraphDocument(load_edge_list(io.StringIO(t))), text)
+    assert outcome(lambda t: load_graph_any(io.StringIO(t)), text) == expected
 
 
 EDGES = "[[0,1],[0,2],[1,3],[2,3]]"

@@ -109,6 +109,14 @@ def test_budget_exhaustion_returns_incumbent():
     assert result.cost == arrangement_cost(g, LinearArrangement.identity(14))
 
 
+@pytest.mark.parametrize("budget", [float("nan"), -1, -0.5])
+@pytest.mark.parametrize("mode", ["exhaustive", "branch-and-bound"])
+def test_a_budget_below_0_is_refused(mode, budget):
+    # the CLI's parser refuses these first; the library still checks its argument
+    with pytest.raises(ValueError, match="^budget must be at least 0 seconds"):
+        minla_exact(path_graph(3), mode, budget_seconds=budget)
+
+
 def test_search_is_deterministic():
     g = random_graph(8, 33)
     a = minla_exact(g, "branch-and-bound")

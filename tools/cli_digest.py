@@ -23,11 +23,14 @@ with `-o`: malformed graph JSON (a bool, float, oversized or string edge
 endpoint or phi entry, or a dimension of 10**20 or of 5000 digits)
 through `certify -i`, `arrange -i`, `solve -i` and `eval -g`; edge lists
 and arrangements whose integers are not ASCII decimal, not integers or of
-5000 digits, through `solve -i` and `eval`; and `table` with an empty,
+5000 digits, or whose lines hold a form feed or a blank JSON does not
+have, through `solve -i` and `eval`; a valid edge list, which carries no
+tree, through `certify -i` and `arrange -i`; `table` with an empty,
 out-of-range, non-decimal, 641- or 5000-digit `--m` or `--max-m`, a
 non-decimal or 641-digit `-n`, a dimension of 4300 digits with
-`--max-m 20`, or a dimension of 10**20 and no row selection. Every one
-should exit 2.
+`--max-m 20`, or a dimension of 10**20 and no row selection; and `solve`
+with a `--budget` that is not ASCII digits with an optional fraction.
+Every one should exit 2.
 
 Last, the parser and the largest enumeration: `--help` of the program and
 of every command, two usage errors, and `eval` of a 24-vertex edge list,
@@ -82,14 +85,17 @@ TOKENS = (("plus", "+1"), ("underscore", "0_1"), ("arabic", "\u0661"), ("float",
           ("bool", "True"), ("big", BIG), ("long", "1" * 5000))
 BAD_EDGES = [(f"row-{name}", EDGES.replace("0 1\n", f"0 {bad}\n")) for name, bad in TOKENS]
 BAD_EDGES += [("header-plus", EDGES.replace("4 4", "+4 4")),
-              ("header-arabic", EDGES.replace("4 4", "\u0664 4"))]
+              ("header-arabic", EDGES.replace("4 4", "\u0664 4")),
+              ("form-feed", EDGES.replace("0 1\n", "0 1\f")),  # one line of two edges
+              ("row-nbsp", EDGES.replace("0 1\n", "0\xa01\n"))]
 BAD_ARRANGEMENTS = [(f"position-{name}", ARRANGEMENT.replace("0 1\n", f"0 {bad}\n"))
                     for name, bad in TOKENS]
-BAD_ARRANGEMENTS += [("position-huge", ARRANGEMENT.replace("0 1\n", f"0 {2**70}\n"))]
+BAD_ARRANGEMENTS += [("position-huge", ARRANGEMENT.replace("0 1\n", f"0 {2**70}\n")),
+                     ("line-ideographic", ARRANGEMENT.replace("0 1\n", "0\u30001\n"))]
 HUGE = str(10**20)  # a dimension whose rows exceed 64 bits
 BAD_TABLES = [["-n", "3", *option] for option in (
     ["--m", ","], ["--m="], ["--m", "0"], ["--max-m", "0"], ["--m", "\u0663,+2"],
-    ["--m", "1" * 641], ["--m", "1" * 5000])]
+    ["--m", "1" * 641], ["--m", "1" * 5000], ["--m", "1,\u30002"])]
 BAD_TABLES += [["-n", HUGE]]
 BAD_TABLES += [option for token in ("\u0663", "1_0", "+3", "1" * 641)
                for option in (["-n", token, "--max-m", "3"], ["-n", "3", "--max-m", token])]
@@ -98,6 +104,8 @@ BAD_TABLES += [["-n", "9" * 4300, "--max-m", "20"]]
 TABLES = [["-n", "40", "--max-m", "4"], ["-n", "3", "--max-m", "100"],
           ["-n", "5", "--m", "7,3,31"], ["-n", "63", "--m", str(2**63 - 1)],
           ["-n", "100", "--m", "3"], ["-n", HUGE, "--m", "3"], ["-n", HUGE, "--max-m", "2"]]
+# `--budget` values that are not ASCII digits with an optional fraction
+BAD_BUDGETS = ("x", "\u0661", "1_0", " 2", "+2", "-1", "1e400", "1e0", "inf", "nan")
 COMMANDS = ("build", "table", "arrange", "eval", "certify", "solve", "verify")
 USAGE_ERRORS = [["frobnicate"], ["table", "-n", "x"]]
 # a 24-vertex circulant, each vertex joined to the next and the fifth after it
@@ -161,7 +169,10 @@ def rejections(tmp: str) -> Iterator[tuple[list[str], bool]]:
     for name, text in BAD_ARRANGEMENTS:
         path = write(f"{name}.arr", text)
         argvs += [["eval", "-g", graph, "-a", path], ["eval", "-g", edges, "-a", path]]
+    argvs += [[command, "-i", edges] for command in ("certify", "arrange")]  # no tree
     argvs += [["table", *option] for option in BAD_TABLES]
+    argvs += [["solve", "--family", "hypercube", "-n", "2", "--budget", budget]
+              for budget in BAD_BUDGETS]
     for i, argv in enumerate(argvs):
         yield argv, True
         yield [*argv, "-o", os.path.join(tmp, f"rejected-{i}.out")], True
