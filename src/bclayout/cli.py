@@ -28,8 +28,8 @@ from .layout import (
     minla_exact,
 )
 
-# Full default table emission is limited to dimensions whose 2**n - 1 rows
-# are actually writable; larger dimensions need --m or --max-m.
+# The full table, 2**n - 1 rows, is written up to this dimension: 22.9 MB of
+# text at n = 20, doubling with each dimension; larger ones need --m or --max-m.
 FULL_TABLE_DIMENSION_LIMIT = 20
 
 # (stdout, stderr) of the `run` call in progress in this context; one
@@ -229,13 +229,16 @@ def _cmd_table(args, out, err) -> int:
         _check_boundary_args(n, top)  # a MAX_M below 1 fails like --m
         ms = range(1, top + 1)
     elif n <= FULL_TABLE_DIMENSION_LIMIT:
-        ms = range(1, 1 << n)
+        ms = None  # every m, from the proven cut profile
     else:
         raise ValueError(
             f"a full table for n={n} is too large; pass --max-m or --m"
         )
     with _open_out(args.output, out) as fp:
-        formats.write_isoperimetric_table(fp, n, ms)
+        if ms is None:
+            formats._write_full_table(fp, n)
+        else:
+            formats.write_isoperimetric_table(fp, n, ms)
     return 0
 
 

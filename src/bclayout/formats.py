@@ -20,11 +20,14 @@ empty word for the groups above it. The literals around the values
 (`[`, `,`, `],`, `"phi":[`, a newline) are NUL-padded words in the same
 grid. `bytes.translate` deletes the NULs and the rest is the ASCII text.
 The `m,I,theta` rows of `write_isoperimetric_table` are the one text output
-not written by `_format_rows`: their integers can exceed 64 bits.
+not written by `_format_rows`, as their integers can exceed 64 bits;
+`table`'s full table (n <= 20) is, from the proven cut profile.
 
-Graph JSON that is exactly what `dump_graph_json` writes is read in bulk:
-numpy reads its integers, the writer writes them again, and the text is
-taken when every byte matches. Any other text is read by `json.loads`.
+Graph JSON and arrangements are read in bulk when the text is exactly what
+their writer writes: numpy reads the integers, the writer writes them
+again, and the text is taken when every byte matches. Any other text is
+read by the general reader, `json.loads` for graph JSON and line by line
+for arrangements. Edge lists are always read line by line.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import numpy as np
 
 from .core import BcGraph, ConstructionTree, Graph, _canonical_edges
 from .isoperimetric import edge_boundary
-from .layout import LayoutReport, LinearArrangement
+from .layout import LayoutReport, LinearArrangement, certify_dimension
 
 
 def tree_from_json_obj(obj) -> ConstructionTree:
@@ -122,10 +125,10 @@ def dump_graph_json(doc: GraphDocument, fp: IO[str]) -> None:
     if doc.dimension is None:
         raise ValueError("graph JSON requires a dimension")
     levels = None if doc.tree is None else doc.tree.levels
-    _write_graph_json(fp, doc.dimension, doc.graph.edge_array, levels)
+    _write_graph_json(doc.dimension, doc.graph.edge_array, levels, fp)
 
 
-def _write_graph_json(fp: IO[str], dimension: int, edges: np.ndarray, levels) -> None:
+def _write_graph_json(dimension: int, edges: np.ndarray, levels, fp: IO[str]) -> None:
     """`dump_graph_json`'s text from its numbers (levels None: no tree), which
     the bulk reader writes again to check a text."""
     fp.write(f'{{"dimension":{json.dumps(dimension)},"edges":[')
@@ -167,8 +170,9 @@ def _digit_words() -> np.ndarray:
     return table
 
 
+@functools.cache
 def _words(text: str, size: int) -> np.ndarray:
-    """An ASCII literal as `size` NUL-padded words."""
+    """An ASCII literal as `size` NUL-padded words, read-only and kept per (literal, size)."""
     return np.frombuffer(text.encode("ascii").ljust(4 * size, b"\0"), dtype="<u4")
 
 
@@ -192,7 +196,7 @@ def _format_rows(block: np.ndarray, head: str, sep: str, end: str, last: str) ->
     groups = signed + (len(str(top)) + 3) // 4
     lit = (max(len(sep), len(end), len(last)) + 3) // 4  # words after each value
     head_w = _words(head, (len(head) + 3) // 4)
-    grid = np.zeros((rows, len(head_w) + k * (groups + lit)), dtype="<u4")
+    grid = np.empty((rows, len(head_w) + k * (groups + lit)), dtype="<u4")  # every word set below
     grid[:, : len(head_w)] = head_w
     cells = grid[:, len(head_w) :].reshape(rows, k, groups + lit)
     cells[:, :-1, groups:] = _words(sep, lit)
@@ -201,12 +205,13 @@ def _format_rows(block: np.ndarray, head: str, sep: str, end: str, last: str) ->
     table, scale = _digit_words(), values.dtype.type(_GROUP)
     above = None  # where the groups above the previous one sum to 0
     for g in range(groups - 1, signed - 1, -1):
-        values, index = np.divmod(values, scale)
-        leading = values == 0
+        quotient = values // scale  # one division: np.divmod costs three times as much
+        index = values - quotient * scale
+        values, leading = quotient, quotient == 0
         index += leading * scale
         if above is not None:
             index += above * scale
-        cells[..., g] = table[index]
+        cells[..., g] = np.take(table, index)
         above = leading
     if signed:
         cells[..., 0] = np.where(negative, ord("-"), 0)
@@ -272,7 +277,8 @@ def _bulk_graph_json(text: str):
     or spelling passes, nor a value beyond int64, which numpy reads as 2**63 - 1."""
     if not text.isascii() or not text.startswith('{"dimension":'):
         return None
-    tree_at, end = text.find(',"tree":'), len(text) - len("}\n")
+    # searched from the end, past the edges: the rewrite checks any split
+    tree_at, end = text.rfind(',"tree":'), len(text) - len("}\n")
     head = _digits(text, 0, end if tree_at < 0 else tree_at)  # the dimension, then the edges
     if len(head) % 2 == 0:
         return None
@@ -286,9 +292,7 @@ def _bulk_graph_json(text: str):
         starts = np.cumsum(widths) - widths  # of each phi array in `flat`
         rows = [flat[starts[in_text == d, None] + np.arange(1 << (d - 1))] for d in range(2, k + 1)]
         levels = [(row, np.arange(len(row))) for row in rows]
-    replay = _Replay(text)
-    _write_graph_json(replay, k, edges, levels)
-    if not replay.same or replay.at != len(text):
+    if not _writes_again(text, _write_graph_json, k, edges, levels):
         return None
     return {"dimension": k, "edges": []}, edges, rows
 
@@ -310,6 +314,13 @@ class _Replay:
     def write(self, piece: str) -> None:
         self.same = self.same and self.text.startswith(piece, self.at)
         self.at += len(piece)
+
+
+def _writes_again(text: str, dump, *args) -> bool:
+    """Whether `dump(*args, fp)` writes exactly `text`, the check of every bulk reader."""
+    replay = _Replay(text)
+    dump(*args, replay)
+    return replay.same and replay.at == len(text)
 
 
 def _graph_document(data, edge_array=None, tree_rows=None) -> GraphDocument:
@@ -383,8 +394,31 @@ def dump_arrangement(arrangement: LinearArrangement, fp: IO[str]) -> None:
 
 
 def load_arrangement(fp: IO[str]) -> LinearArrangement:
+    """Read the arrangement format: in bulk when the text is exactly what
+    `dump_arrangement` writes, else line by line."""
+    text = fp.read()
+    bulk = _bulk_arrangement(text)
+    return bulk if bulk is not None else _arrangement_lines(text.split("\n"))
+
+
+def _bulk_arrangement(text: str) -> LinearArrangement | None:
+    """The arrangement of a text that is exactly what `dump_arrangement`
+    writes, or None: numpy reads the lines, the positions make the
+    arrangement and the writer writes it again."""
+    values = _digits(text, 0, len(text)) if text.isascii() else None
+    if values is None or len(values) % 2:
+        return None
+    try:
+        arrangement = LinearArrangement(values[1::2])
+    except ValueError:
+        return None
+    return arrangement if _writes_again(text, dump_arrangement, arrangement) else None
+
+
+def _arrangement_lines(lines: Iterable[str]) -> LinearArrangement:
+    """The line reader of the arrangement format."""
     pairs: dict[int, int] = {}
-    lines = filter(None, (line.strip(_BLANKS) for line in fp))
+    lines = filter(None, (line.strip(_BLANKS) for line in lines))
     for v, p in _int_pairs(lines, "malformed arrangement line: {!r}"):
         if v in pairs:
             raise ValueError(f"vertex {v} listed twice")
@@ -442,3 +476,14 @@ def write_isoperimetric_table(fp: IO[str], n: int, ms: Iterable[int]) -> None:
     for m in ms:
         theta = edge_boundary(n, m)
         fp.write(f"{m},{(n * m - theta) // 2},{theta}\n")
+
+
+def _write_full_table(fp: IO[str], n: int) -> None:
+    """`write_isoperimetric_table(fp, n, range(1, 2**n))` from the proven
+    cut profile, θ(n, m) at m = 1..2**n - 1, a block of rows at a time."""
+    fp.write("m,I,theta\n")
+    profile, step = certify_dimension(n).cut_profile, _BLOCK // 3  # three values a row
+    for lo in range(0, len(profile), step):
+        theta = profile[lo : lo + step]
+        m = np.arange(lo + 1, lo + 1 + len(theta))
+        fp.write(_format_rows(np.column_stack((m, (n * m - theta) // 2, theta)), "", ",", "\n", "\n"))

@@ -309,22 +309,24 @@ def _file_round_trips(seed: int) -> tuple[bool, str]:
                 failures.append(f"reloaded witness for {name} fails validation")
         bc = families.hypercube(4)
         apath = os.path.join(tmp, "arrangement.txt")
-        f = bc_arrangement(bc.tree)
-        with open(apath, "w") as fp:
-            formats.dump_arrangement(f, fp)
-        with open(apath) as fp:
-            back = formats.load_arrangement(fp)
-        checked += 1
-        if back != f:
-            failures.append("arrangement round trip changed positions")
         epath = os.path.join(tmp, "graph.edges")
-        with open(epath, "w") as fp:
-            formats.dump_edge_list(bc.graph, fp)
-        with open(epath) as fp:
-            gback = formats.load_edge_list(fp)
-        checked += 1
-        if gback != bc.graph:
-            failures.append("edge-list round trip changed the graph")
+        f = bc_arrangement(bc.tree)
+        # the writers' bytes (an arrangement read in bulk), then CRLF line ends
+        for newline in ("\n", "\r\n"):
+            with open(apath, "w", newline=newline) as fp:
+                formats.dump_arrangement(f, fp)
+            with open(apath, newline="") as fp:
+                back = formats.load_arrangement(fp)
+            checked += 1
+            if back != f:
+                failures.append(f"arrangement round trip with {newline!r} changed positions")
+            with open(epath, "w", newline=newline) as fp:
+                formats.dump_edge_list(bc.graph, fp)
+            with open(epath, newline="") as fp:
+                gback = formats.load_graph_any(fp).graph
+            checked += 1
+            if gback != bc.graph:
+                failures.append(f"edge-list round trip with {newline!r} changed the graph")
     # closed-form-only table row at dimension 63: no graph is materialized,
     # and the exact integers must survive text form
     buf = io.StringIO()

@@ -1,5 +1,5 @@
 """tools/cli_digest.py on the matrix's first two dimensions, its
-rejection matrix and its extras."""
+near-canonical files, its rejection matrix and its extras."""
 
 import hashlib
 import importlib.util
@@ -28,15 +28,17 @@ def test_lines_are_deterministic_and_digest_the_output():
     # per member: five commands, six on files and solve; six members and
     # one table a dimension
     tail = lines[2 * 6 * 12 + 2 :]
-    assert tail == list(cli_digest.lines(range(0)))  # row selections, rejections, extras
-    # each rejection to standard output and with -o: four commands a bad
+    # row selections, near-canonical files, rejections, extras
+    assert tail == list(cli_digest.lines(range(0)))
+    # two commands a near-canonical file; each rejection to standard output
+    # and with -o: four commands a bad
     # graph, two a bad edge list or arrangement, the edge list through the
     # two tree commands, one a bad table or budget; then help, usage, eval
     d = cli_digest
     rejected = (4 * len(d.BAD_GRAPHS) + 2 * len(d.BAD_EDGES) + 2 * len(d.BAD_ARRANGEMENTS) + 2
                 + len(d.BAD_TABLES) + len(d.BAD_BUDGETS))
     extras = 1 + len(d.COMMANDS) + len(d.USAGE_ERRORS) + 1
-    assert len(tail) == len(d.TABLES) + 2 * rejected + extras
+    assert len(tail) == len(d.TABLES) + near_count() + 2 * rejected + extras
     assert all(re.fullmatch(r"[0-9a-f]{64} [0-3] \S.*", line) for line in lines)
     assert all("$TMP/" in line for line in lines if " -o " in line or " -i " in line)
     out = io.StringIO()
@@ -73,6 +75,26 @@ def test_solve_is_digested_without_its_timing_line():
     )
 
 
+def near_count():
+    return 2 * len(cli_digest.NEAR_EDGES) + 2 * len(cli_digest.NEAR_ARRANGEMENTS)
+
+
+def test_near_canonical_files_read_as_the_written_ones():
+    """Each valid file spelled otherwise than the writers spell it gives
+    the output of the writers' bytes; every spelling differs from them."""
+    d = cli_digest
+    assert all(text not in (d.EDGES, d.ARRANGEMENT) for _, text in d.NEAR_EDGES + d.NEAR_ARRANGEMENTS)
+    with tempfile.TemporaryDirectory() as tmp:
+        near = list(d.near_canonical(tmp))
+        for argv, with_stderr in near:
+            # the same command on the good file of the same format
+            good = [os.path.join(tmp, "good" + os.path.splitext(a)[1]) if "/near-" in a else a
+                    for a in argv]
+            status, out, _ = invoke(argv)
+            assert (status, out) == invoke(good)[:2] and status == 0 and with_stderr, argv
+    assert len(near) == near_count()
+
+
 def test_every_rejection_exits_2_and_writes_nothing():
     with tempfile.TemporaryDirectory() as tmp:
         for argv, with_stderr in cli_digest.rejections(tmp):
@@ -85,7 +107,7 @@ def test_every_rejection_exits_2_and_writes_nothing():
             assert "-o" not in argv or not os.path.exists(argv[-1])
         extras = len(cli_digest.extras(tmp))
     # a command and its `-o` twin digest alike: the same error, no file
-    lines = list(cli_digest.lines(range(0)))[len(cli_digest.TABLES) : -extras]
+    lines = list(cli_digest.lines(range(0)))[len(cli_digest.TABLES) + near_count() : -extras]
     assert all(line.split()[1] == "2" for line in lines)
     assert [line.split()[0] for line in lines[::2]] == [line.split()[0] for line in lines[1::2]]
     assert all(" -o $TMP/rejected-" in line for line in lines[1::2])

@@ -31,6 +31,8 @@ from bclayout import (
 )
 from bclayout.formats import (
     GraphDocument,
+    _arrangement_lines,
+    _bulk_arrangement,
     _bulk_graph_json,
     _graph_document,
     dump_arrangement,
@@ -445,6 +447,16 @@ def test_isoperimetric_table_output():
     assert rows[-1] == "7,9,3"
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_full_table_is_the_closed_form_at_every_m(n):
+    """The full table, written from the proven cut profile, is the rows
+    `write_isoperimetric_table` evaluates one closed form at a time."""
+    expected, buf = io.StringIO(), io.StringIO()
+    write_isoperimetric_table(expected, n, range(1, 1 << n))
+    formats._write_full_table(buf, n)
+    assert buf.getvalue() == expected.getvalue()
+
+
 def test_isoperimetric_table_huge_dimension():
     m = (1 << 63) - 1
     buf = io.StringIO()
@@ -532,6 +544,58 @@ def edge_list_texts(draw):
 def test_load_graph_any_reads_an_edge_list_as_load_edge_list(text):
     expected = outcome(lambda t: GraphDocument(load_edge_list(io.StringIO(t))), text)
     assert outcome(lambda t: load_graph_any(io.StringIO(t)), text) == expected
+
+
+# integers of the arrangement format at the edges of its checks and of int64
+TEXT_INTEGERS = st.one_of(st.integers(-2, 9), st.sampled_from([2**63 - 1, 2**63, 2**64 + 1]))
+
+
+@st.composite
+def arrangement_texts(draw):
+    """`dump_arrangement` output of a permutation of 1..30 after a few
+    random one-character edits, or lines of any two text integers."""
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.tuples(TEXT_INTEGERS, TEXT_INTEGERS), max_size=8))
+        return "".join(f"{v} {p}\n" for v, p in rows)
+    positions = draw(st.permutations(range(1, draw(st.integers(1, 30)) + 1)))
+    buf = io.StringIO()
+    dump_arrangement(LinearArrangement(positions), buf)
+    return draw(mutated(buf.getvalue()))
+
+
+@settings(max_examples=examples(250))
+@given(arrangement_texts())
+@example("")
+@example("0 1\n1 2")  # no final newline
+@example("0 1\r\n1 2\r\n")
+@example("0 1\n\n1 2\n")
+@example("0 01\n1 2\n")
+@example("1 2\n0 1\n")  # lines out of order
+@example("0 1\n0 1\n")  # a vertex listed twice
+@example(f"0 {2**63}\n")
+def test_load_arrangement_reads_as_the_line_reader(text):
+    """The bulk path of `load_arrangement` reads any text as the line reader
+    does, to the same arrangement or the same error."""
+    expected = outcome(lambda t: _arrangement_lines(t.split("\n")), text)
+    assert outcome(lambda t: load_arrangement(io.StringIO(t)), text) == expected
+
+
+def test_written_arrangements_take_the_bulk_path(monkeypatch):
+    """What `dump_arrangement` writes never reaches the line reader; the same
+    text with CRLF line ends does."""
+
+    def line_reader(lines):
+        raise AssertionError("read line by line")
+
+    monkeypatch.setattr(formats, "_arrangement_lines", line_reader)
+    for size in (1, 2, B // 2, B // 2 + 1, 10**4 + 1):
+        f = LinearArrangement(np.random.default_rng(size).permutation(size) + 1)
+        buf = io.StringIO()
+        dump_arrangement(f, buf)
+        assert load_arrangement(io.StringIO(buf.getvalue())) == f
+        assert _bulk_arrangement(buf.getvalue()) == f
+        with pytest.raises(AssertionError, match="line by line"):
+            load_arrangement(io.StringIO(buf.getvalue().replace("\n", "\r\n")))
 
 
 EDGES = "[[0,1],[0,2],[1,3],[2,3]]"

@@ -1,6 +1,6 @@
 """Golden outputs at n = 10: sha256 digests of CLI stdout and of the
 library's arrangement and cut profile, pinned per family. Then `table`
-stdout, pinned for n = 1..16 and for row selections up to n = 100.
+stdout, pinned for n = 1..16 and 20 and for row selections up to n = 100.
 
 Only `build` output differs between families. The arrangement, the
 certificate, the evaluation of the arranged file and the cut profile are
@@ -70,7 +70,7 @@ def test_library_outputs_are_pinned(kind, seed):
     assert sha256(" ".join(map(str, positions))) == POSITIONS_SHA256
 
 
-# `table` stdout: the full table for n = 1..16, then selected rows
+# `table` stdout: the full table for n = 1..16 and 20, then selected rows
 TABLE_SHA256 = {
     "-n 1": "504ae1d61f32914b4423d3f21dff4453025bc74c421c57da9279c555f0a29345",
     "-n 2": "d7e69e732ba3308ae732255ef82f8ae0e0502d3c6dc3bc4e31219dda5ad6c473",
@@ -88,6 +88,8 @@ TABLE_SHA256 = {
     "-n 14": "92184bbc92b50c060464f8b7c9db0310b7b3c73876e4291c17bf5dc4fa6cfbea",
     "-n 15": "018a655ce929a03a647848652d1227fcb791d4c58d3667d0289d0c3607bab222",
     "-n 16": "ebe5ea60092ebe724f53effebb1ede6c5ea095850cdbb8efc0b4128ef48dc5e4",
+    # the largest full table, 1 048 575 rows
+    "-n 20": "34717ef7974046566ebc59e70d6f1d0b9e4421bf2e20e21f494f18b572bb187d",
     "-n 40 --max-m 4": "92e10bc3f15728139c743b00d2602dee0d951266d5a2a2212b0a98d9022fd4d1",
     # --max-m above 2**n - 1 stops at the full table
     "-n 3 --max-m 100": "a386b283d4575c978c3cce9ace0099c30a4a8b8993bf5afd0a4215c1406335cd",

@@ -16,15 +16,21 @@ For every family kind at n = 1..12, the random family with seeds 1 and 2:
 - `table -n N` at each dimension.
 
 Then `table` with selected rows (`--max-m`, `--m`, dimensions up to
-10**20, where the rows exceed 64 bits).
+10**20, where the rows exceed 64 bits), and valid edge lists and
+arrangements spelled otherwise than the writers spell them (no final
+newline, CRLF line ends, a blank line, a leading zero, lines out of
+order), through `solve -i` and `eval`: the arrangement's bulk reader
+refuses them, and the line readers read them, except CRLF, which a text
+file opened by the commands reads as line feeds.
 
 Then the rejection matrix, each command once to standard output and once
 with `-o`: malformed graph JSON (a bool, float, oversized or string edge
 endpoint or phi entry, or a dimension of 10**20 or of 5000 digits)
 through `certify -i`, `arrange -i`, `solve -i` and `eval -g`; edge lists
-and arrangements whose integers are not ASCII decimal, not integers or of
-5000 digits, or whose lines hold a form feed or a blank JSON does not
-have, through `solve -i` and `eval`; a valid edge list, which carries no
+and arrangements whose integers are not ASCII decimal, not integers, of
+5000 digits or 2**63, whose lines hold a form feed or a blank JSON does
+not have, or that list an edge or a vertex twice, through `solve -i` and
+`eval`; a valid edge list, which carries no
 tree, through `certify -i` and `arrange -i`; `table` with an empty,
 out-of-range, non-decimal, 641- or 5000-digit `--m` or `--max-m`, a
 non-decimal or 641-digit `-n`, a dimension of 4300 digits with
@@ -87,11 +93,23 @@ BAD_EDGES = [(f"row-{name}", EDGES.replace("0 1\n", f"0 {bad}\n")) for name, bad
 BAD_EDGES += [("header-plus", EDGES.replace("4 4", "+4 4")),
               ("header-arabic", EDGES.replace("4 4", "\u0664 4")),
               ("form-feed", EDGES.replace("0 1\n", "0 1\f")),  # one line of two edges
-              ("row-nbsp", EDGES.replace("0 1\n", "0\xa01\n"))]
+              ("row-nbsp", EDGES.replace("0 1\n", "0\xa01\n")),
+              ("row-int64-bound", EDGES.replace("0 1\n", f"0 {2**63}\n")),
+              ("row-twice", EDGES.replace("0 2\n", "0 1\n"))]
 BAD_ARRANGEMENTS = [(f"position-{name}", ARRANGEMENT.replace("0 1\n", f"0 {bad}\n"))
                     for name, bad in TOKENS]
 BAD_ARRANGEMENTS += [("position-huge", ARRANGEMENT.replace("0 1\n", f"0 {2**70}\n")),
-                     ("line-ideographic", ARRANGEMENT.replace("0 1\n", "0\u30001\n"))]
+                     ("line-ideographic", ARRANGEMENT.replace("0 1\n", "0\u30001\n")),
+                     ("position-int64-bound", ARRANGEMENT.replace("0 1\n", f"0 {2**63}\n")),
+                     ("vertex-twice", ARRANGEMENT.replace("1 2\n", "0 2\n"))]
+# (name, text): valid files that are not the writers' bytes
+SPELLINGS = (("no-final-newline", lambda t: t[:-1]), ("crlf", lambda t: t.replace("\n", "\r\n")),
+             ("blank-line", lambda t: t.replace("\n", "\n\n", 1)),
+             ("leading-zero", lambda t: t.replace("0 1\n", "0 01\n")))
+NEAR_EDGES = [(name, spell(EDGES)) for name, spell in SPELLINGS]
+NEAR_EDGES += [("rows-out-of-order", EDGES.replace("0 1\n0 2\n", "0 2\n0 1\n"))]
+NEAR_ARRANGEMENTS = [(name, spell(ARRANGEMENT)) for name, spell in SPELLINGS]
+NEAR_ARRANGEMENTS += [("lines-out-of-order", ARRANGEMENT.replace("0 1\n1 2\n", "1 2\n0 1\n"))]
 HUGE = str(10**20)  # a dimension whose rows exceed 64 bits
 BAD_TABLES = [["-n", "3", *option] for option in (
     ["--m", ","], ["--m="], ["--m", "0"], ["--max-m", "0"], ["--m", "\u0663,+2"],
@@ -148,26 +166,47 @@ def commands(tmp: str, dimensions=DIMENSIONS) -> Iterator[tuple[list[str], bool]
         yield ["table", "-n", str(n)], True
 
 
+def write(tmp: str, name: str, text: str) -> str:
+    """The path of file `name` in `tmp`, after writing `text` to it as is."""
+    with open(os.path.join(tmp, name), "w", encoding="utf-8") as fp:
+        fp.write(text)
+    return os.path.join(tmp, name)
+
+
+def good_files(tmp: str) -> tuple[str, str, str]:
+    """The paths of the valid graph JSON, edge list and arrangement, written."""
+    return (write(tmp, "good.json", GRAPH), write(tmp, "good.edges", EDGES),
+            write(tmp, "good.arr", ARRANGEMENT))
+
+
+def near_canonical(tmp: str) -> Iterator[tuple[list[str], bool]]:
+    """(argv, True) of `solve -i` and `eval` of each valid file that is not
+    the writers' bytes, after writing it and the files it is read beside."""
+    graph, edges, arrangement = good_files(tmp)
+    for name, text in NEAR_EDGES:
+        path = write(tmp, f"near-{name}.edges", text)
+        yield ["solve", "-i", path], True
+        yield ["eval", "-g", path, "-a", arrangement], True
+    for name, text in NEAR_ARRANGEMENTS:
+        path = write(tmp, f"near-{name}.arr", text)
+        yield ["eval", "-g", graph, "-a", path], True
+        yield ["eval", "-g", edges, "-a", path], True
+
+
 def rejections(tmp: str) -> Iterator[tuple[list[str], bool]]:
     """(argv, True) of every command of the rejection matrix, after writing
     its malformed files and the valid ones they are read beside."""
-    def write(name: str, text: str) -> str:
-        with open(os.path.join(tmp, name), "w", encoding="utf-8") as fp:
-            fp.write(text)
-        return os.path.join(tmp, name)
-
-    graph, edges = write("good.json", GRAPH), write("good.edges", EDGES)
-    arrangement = write("good.arr", ARRANGEMENT)
+    graph, edges, arrangement = good_files(tmp)
     argvs = []
     for name, text in BAD_GRAPHS:
-        path = write(f"{name}.json", text)
+        path = write(tmp, f"{name}.json", text)
         argvs += [["certify", "-i", path], ["arrange", "-i", path], ["solve", "-i", path],
                   ["eval", "-g", path, "-a", arrangement]]
     for name, text in BAD_EDGES:
-        path = write(f"{name}.edges", text)
+        path = write(tmp, f"{name}.edges", text)
         argvs += [["solve", "-i", path], ["eval", "-g", path, "-a", arrangement]]
     for name, text in BAD_ARRANGEMENTS:
-        path = write(f"{name}.arr", text)
+        path = write(tmp, f"{name}.arr", text)
         argvs += [["eval", "-g", graph, "-a", path], ["eval", "-g", edges, "-a", path]]
     argvs += [[command, "-i", edges] for command in ("certify", "arrange")]  # no tree
     argvs += [["table", *option] for option in BAD_TABLES]
@@ -211,11 +250,12 @@ def digest(argv: list[str], with_stderr: bool, tmp: str) -> tuple[str, int]:
 
 def lines(dimensions=DIMENSIONS) -> Iterator[str]:
     """One `sha256 exit argv` line per command of the matrix, then of the
-    row selections, the rejection matrix and the extras."""
+    row selections, the near-canonical files, the rejection matrix and the
+    extras."""
     tables = [(["table", *argv], True) for argv in TABLES]
     with tempfile.TemporaryDirectory() as tmp:
-        for argv, with_stderr in chain(commands(tmp, dimensions), tables, rejections(tmp),
-                                       extras(tmp)):
+        for argv, with_stderr in chain(commands(tmp, dimensions), tables, near_canonical(tmp),
+                                       rejections(tmp), extras(tmp)):
             sha, status = digest(argv, with_stderr, tmp)
             shown = (a.replace(tmp, "$TMP") for a in argv)
             shown = (a if len(a) <= 64 else f"{a[:16]}...({len(a)} chars)" for a in shown)
