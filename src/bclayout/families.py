@@ -131,7 +131,7 @@ def _random_levels(n: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
         for d in range(2, n + 1):
             size = 1 << (d - 1)
             nominal = _first_counters(n, d)[:, None] + np.arange(size - 1)
-            counters = nominal + np.searchsorted(owners, nominal, side="right")
+            counters = nominal + np.searchsorted(owners, nominal, "right") if owners.size else nominal
             draws, rejected = bounded_draws(seed, counters, np.arange(size, 1, -1))
             rejects += nominal[rejected].tolist()
             levels.append((shuffle_rows(draws), np.arange(len(draws))))

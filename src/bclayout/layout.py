@@ -417,8 +417,11 @@ def evaluate_arrangement(
 
     With a (caller-validated) BC witness the closed-form bound applies;
     otherwise the generic enumeration bound is used, which limits the graph
-    to the subset-enumeration size.
+    to the subset-enumeration size; that limit is checked before any work.
     """
+    if witness is None:
+        _check_sizes(graph, len(arrangement))
+        isoperimetric._check_enumerable(graph.vertex_count)
     cost, profile = _accumulate(graph.vertex_count, *_slot_pairs(graph, arrangement))
     closed = None if witness is None else lower_bound_closed(witness.dimension)
     bound = lower_bound_generic(graph) if closed is None else closed

@@ -11,20 +11,24 @@ Draw k of a stream (the first is k = 1) mixes the state seed + k*gamma mod
 (`bounded_draws`, applied by `shuffle_rows`); a draw the scalar path would
 reject is reported, since the scalar stream then skips ahead.
 
-With its draws fixed, the descending shuffle has only logarithmic dependence
-depth (Shun, Gu, Blelloch, Fineman and Gibbons, SODA 2015), so a few long
-rows are replayed at once instead of swapped one index at a time. Step i
-swaps positions i and j_i <= i, and no later step touches position i, so
-the final value at i is what position j_i held just before step i; step 0
-is a self-step that leaves position 0 its last value. A position p holds p
-until a step targets it, and from then on what the latest such step wrote:
-the value its own position held just before that step. So p's value just
-before its own step comes from the smallest later step that targets p, a
-chain of rising steps that pointer jumping resolves in logarithmically many
-rounds; and a step receives what the previous writer of its target wrote
-(the next larger step of the same target), or the target itself if no step
-wrote it before. One sort of the steps by (target, step) pairs each step
-with that writer.
+Many rows are shuffled together one index at a time, held as a (size, count)
+array: position i of every row is one contiguous row, so a step is one row
+copy, one gather into it and one scatter. With its draws fixed, the
+descending shuffle has only logarithmic dependence depth (Shun, Gu,
+Blelloch, Fineman and Gibbons, SODA 2015), so a few long rows are replayed
+at once instead of swapped one index at a time. Step i swaps positions i
+and j_i <= i, and no later step touches position i, so the final value at i
+is what position j_i held just before step i; step 0 is a self-step that
+leaves position 0 its last value. A position p holds p until a step
+targets it, and from then on what the latest such step wrote: the value its
+own position held just before that step. So p's value just before its own
+step comes from the smallest later step that targets p, a chain of rising
+steps that pointer jumping resolves in logarithmically many rounds; and a
+step receives what the previous writer of its target wrote (the next larger
+step of the same target), or the target itself if no step wrote it before.
+One sort of the steps by the key target << bits | step, bits the bit length
+of the position count, pairs each step with that writer; a shift and a mask
+take the key apart again.
 """
 
 from __future__ import annotations
@@ -115,10 +119,13 @@ def bounded_draws(seed: int, counters, bounds) -> tuple[np.ndarray, np.ndarray]:
         z ^= z >> np.uint64(27)
         z *= np.uint64(_MIX2)
     z ^= z >> np.uint64(31)
+    values = z % bounds
+    # 2**64 mod b < b, so only a draw of at least 2**64 - max(b) can be rejected
+    if not bounds.size or not (z >= np.negative(bounds.max())).any():
+        return values, np.zeros(values.shape, dtype=bool)
     # 2**64 mod b, computed as (2**64 - b) mod b; its negation is the limit
     excess = np.negative(bounds) % bounds
-    rejected = (excess != 0) & (z >= np.negative(excess))
-    return z % bounds, rejected
+    return values, (excess != 0) & (z >= np.negative(excess))
 
 
 def shuffle_rows(draws: np.ndarray) -> np.ndarray:
@@ -131,13 +138,20 @@ def shuffle_rows(draws: np.ndarray) -> np.ndarray:
     if count < _BATCH_ROWS:
         perms = _replay(draws)
     else:
-        perms = np.empty((count, size), dtype=np.int32)
-        perms[:] = np.arange(size, dtype=np.int32)
-        draws = draws.astype(np.intp)
-        rows = np.arange(count)
+        perms = np.empty((size, count), dtype=np.int32)
+        perms[:] = np.arange(size, dtype=np.int32)[:, None]
+        flat, held = perms.ravel(), np.empty(count, dtype=np.int32)
+        # step t swaps flat indices i * count + row and j * count + row
+        index = np.ascontiguousarray(draws.T, dtype=np.intp)
+        index *= count
+        index += np.arange(count)
         for t in range(steps):
-            i, j = size - 1 - t, draws[:, t]
-            perms[rows, i], perms[rows, j] = perms[rows, j], perms[rows, i]
+            i, j = size - 1 - t, index[t]
+            held[:] = perms[i]
+            np.take(flat, j, out=perms[i])
+            flat[j] = held
+        del index
+        perms = np.ascontiguousarray(perms.T)
     return perms
 
 
@@ -148,21 +162,22 @@ def _replay(draws: np.ndarray) -> np.ndarray:
     count, steps = draws.shape
     size = steps + 1
     total = count * size
-    # the key target * total + step groups the steps by target, each group
+    # the key target << bits | step groups the steps by target, each group
     # in increasing step order; it is the only int64 array
+    bits = total.bit_length()
     offset = np.arange(0, total, size)[:, None]
     key = np.zeros((count, size), dtype=np.int64)
     key[:, :0:-1] = draws
     key += offset
-    key *= total
+    key <<= bits
     key += offset
     key += np.arange(size)
     key = key.ravel()
     key.sort()
     target = np.empty(total, dtype=np.int32)
     step = np.empty(total, dtype=np.int32)
-    np.floor_divide(key, total, out=target, casting="unsafe")
-    np.remainder(key, total, out=step, casting="unsafe")
+    np.right_shift(key, bits, out=target, casting="unsafe")
+    np.bitwise_and(key, (1 << bits) - 1, out=step, casting="unsafe")
     del key
     same = target[1:] == target[:-1]  # entry k + 1 wrote entry k's target before it
     # nxt[p]: the smallest later step targeting position p, or p if none;
@@ -170,6 +185,7 @@ def _replay(draws: np.ndarray) -> np.ndarray:
     later = step > target
     head = later.copy()
     head[1:] &= ~(same & later[:-1])
+    head = np.flatnonzero(head)
     nxt = np.arange(total, dtype=np.int32)
     nxt[target[head]] = step[head]
     del later, head
@@ -181,8 +197,8 @@ def _replay(draws: np.ndarray) -> np.ndarray:
         nxt, jumped = jumped, nxt
     # nxt[p] is now p's value just before step p; a step receives that of
     # the previous writer of its target, or the target's own value
-    received = target
-    received[:-1][same] = nxt[step[1:][same]]
+    received, same = target, np.flatnonzero(same)
+    received[same] = nxt[step[same + 1]]
     jumped[step] = received
     perms = jumped.reshape(count, size)
     perms -= offset.astype(np.int32)

@@ -1,13 +1,17 @@
 """Independent references for tests: construction trees as nested
 (left, right, phi) tuples, with None for the dimension-1 leaf, their edges
 by the construction's recursion, random trees by the scalar stream, the
-per-size subset extremes by a plain loop over every subset, and the plain
-depth-first branch-and-bound that the memoized solver must replay."""
+seed that makes a chosen SplitMix64 draw, the per-size subset extremes by a
+plain loop over every subset, and the plain depth-first branch-and-bound
+that the memoized solver must replay."""
 
 import time
 
 from bclayout import ConstructionTree, LinearArrangement, Node, SplitMix64, arrangement_cost
 from bclayout.layout import _BudgetExhausted
+from bclayout.rng import _GAMMA, _MIX1, _MIX2
+
+MASK = (1 << 64) - 1
 
 LEAF = ConstructionTree(1)
 
@@ -44,6 +48,21 @@ def scalar_tree(n, seed):
         return (left, right, rng.permutation(1 << (d - 1)))
 
     return draw(n)
+
+
+def _unxorshift(y, shift):
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def seed_drawing(z, k):
+    """The seed whose draw k of SplitMix64 (the first is k = 1) is z: the
+    finalizer run backwards gives the state, less k steps of the counter."""
+    z = _unxorshift(z, 31) * pow(_MIX2, -1, 1 << 64) & MASK
+    z = _unxorshift(z, 27) * pow(_MIX1, -1, 1 << 64) & MASK
+    return (_unxorshift(z, 30) - k * _GAMMA) & MASK
 
 
 def best_by_size(graph, boundary):

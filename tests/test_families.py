@@ -27,8 +27,8 @@ from bclayout import (
 from bclayout import cli, families
 from bclayout.core import check_permutation
 from bclayout.formats import GraphDocument, dump_graph_json, load_graph_json
-from bclayout.rng import _GAMMA, _MIX1, _MIX2, SplitMix64, bounded_draws
-from reference import build, recursive_edges, scalar_tree
+from bclayout.rng import SplitMix64, bounded_draws
+from reference import build, recursive_edges, scalar_tree, seed_drawing
 
 
 def all_members(n, seeds=(1, 2)):
@@ -235,24 +235,10 @@ def test_random_bc_matches_the_scalar_stream(n, seed):
     assert bc.graph == Graph(1 << n, recursive_edges(nested))
 
 
-def _unxorshift(y, shift):
-    x = y
-    for _ in range(64 // shift + 1):
-        x = y ^ (x >> shift)
-    return x
-
-
-def _unmix(z):
-    """The state whose SplitMix64 output is z: the finalizer run backwards."""
-    z = _unxorshift(z, 31) * pow(_MIX2, -1, 1 << 64) & MASK
-    z = _unxorshift(z, 27) * pow(_MIX1, -1, 1 << 64) & MASK
-    return _unxorshift(z, 30)
-
-
 def _rejecting_seed(k):
     """The seed whose draw k is 2**64 - 1, which every bound that is not a
     power of two rejects."""
-    return (_unmix(MASK) - k * _GAMMA) & MASK
+    return seed_drawing(MASK, k)
 
 
 def test_rejected_draw_falls_back_to_the_scalar_stream(monkeypatch):

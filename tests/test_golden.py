@@ -1,6 +1,8 @@
 """Golden outputs at n = 10: sha256 digests of CLI stdout and of the
 library's arrangement and cut profile, pinned per family. Then `table`
 stdout, pinned for n = 1..16 and 20 and for row selections up to n = 100.
+Last, the row bytes of every level of two random trees at n = 18, whose
+shuffles run both routes of `rng.shuffle_rows`, on rows of 2..131072 entries.
 
 Only `build` output differs between families. The arrangement, the
 certificate, the evaluation of the arranged file and the cut profile are
@@ -10,9 +12,11 @@ the same for every BC graph of a dimension, so one digest pins each.
 import hashlib
 import io
 
+import numpy as np
 import pytest
 
 from bclayout import FamilySpec, bc_arrangement, build_family, certify
+from bclayout.families import build_tree
 from bclayout.cli import run
 
 N = 10
@@ -104,3 +108,58 @@ TABLE_SHA256 = {
 @pytest.mark.parametrize("args", list(TABLE_SHA256))
 def test_table_stdout_is_pinned(args):
     assert sha256(stdout_of("table", *args.split())) == TABLE_SHA256[args]
+
+
+# sha256 of each level's int32 row bytes, levels d = 2..18 in order: the
+# many-row loop makes d = 2..12 (64 rows or more, of 2..2048 entries), the
+# replay d = 13..18 (32 rows or fewer, of 4096..131072 entries)
+RANDOM_LEVELS_SHA256 = {
+    1: """
+        3b4b537c56eb80d7b5d8e0fbf4ce42ddc9a739739f857677f107a48a45f656e1
+        cf56559502c1abecf085743daedbcdcc9fe53e32223c5e813b73246be2cc68ff
+        f3fd9de79de2b674d80db33302626162c8d88661c1b6235184b68f367a26663c
+        17dc923531710d44c0f8a2ba6359898dcc4f7906c36b0d510c84f0b314d29194
+        6925bec777b8086c1ffcfb6141b887eaddcb6d38a3add0d7d880fcb141010bc8
+        dffa858f0737969e3a0770b87f4752b8be283b78dffd4f6fbf1c4dd2b31e26d3
+        f09cda15b8af85ee10ad3525c2171a0916cfee7e7208b6923bce673dfcd3a601
+        51c92279f31defb20b2f8cafc4a9b5af02591334b016e32e0d3c4733430f19c6
+        c75caf2a8a8f0a9cad3fbfb97133bfad287daa79eed6eaa24350b755f5b6aa35
+        f8b57b414faf2864be786aa6ab6d597ca53d8fb342742e4404bcbb9c6ec62d0e
+        3d47d8e187a0ddefb0afe5af33d7c6bd72c3cd006cc25cdd46fed7f79af47995
+        72faf7954a55cd91196d137ed82fbe92cdf20550953ae954c5f5897e93b4fed6
+        85afa8c2658eda3802bc8b439c28f7c8bea9097ee9dc2573aeaabed7ed0354f7
+        b220c8719bb88ac7a787229908b5bdc05bd751cf3534be6798edf1d75165f8f9
+        fabd25af002210b67fb2bf02c4d41b6651373d724face30218b073883bb55068
+        a31c2bd9196403dc1ed47c3a436e45b0cfedab55ddda5d522dedb437e2686097
+        6d325629fe0a9577565312db6f1bb82266039041e4bbe044636683d9df1d2886
+    """,
+    2**64 - 1: """
+        1404855365a50d9ffad8d5d1ce8a8534611c86ce41c63a31722097c62f1123a6
+        f70eca0e44d1d4ac97e7e49d80060d83524737032f827db9545977c5c48a5944
+        f705eb49cffbd519f8d7887b0b7c7655d83e87b8e40d3742ee2702516e09395a
+        e379e6ede9747c09443848625992cc114b76194ddca1e164443262c0e1041785
+        aea3f7499513ab5233062b49163c5f7e26777767017a4902686c5014a71b2828
+        89df819e426620ed2da4fd231180a6ffc79f9fcf8f72a38ddb2bfefbf98b0fa8
+        e91d71405edbde27dcf03c8ef54e833f1f9664a35dbed3eb9b5f9746f103c1cd
+        87d6978ef7371b33f516386c77eb76678ce549b71a01f8925c6a33c0a614ecf4
+        256ba260bb8f0a64e224878ac21aee59ab94caf862ecd3b96d996c2db7833855
+        526cf7f816cfe6d0a0d0b573ba44229617d0e2c1023fbe6722bbad4fc4a79bb8
+        dc275f22112c8f3c3cbbc58e57e77521969112dcd04ebf21775592bc321fdd40
+        8da4af9652ce25012998ac6cc6b46443f3abe84b146a694ad497e2dc7a8519a5
+        ff4a32f8c3bc7274793862f84345cb35fda9f7bb330e02b9f1a83d1717dffb49
+        d41a44a3042afade35ba2dd461cd5d6df5ba7b28912ed078fe742486949774ba
+        4203e926299e9c5d638dfb298a293a9f31a3bac5f7797d479d9fdf9b3dd2b1b4
+        b6bb1c754e954ed260fb348ae6da513a61a39e5a45ceab1a006f83866d2b0baa
+        bcdc0e5dd9ca42f0597da55009dbc292b51fb5c2e5d1ada6df2614d9eef7919b
+    """,
+}
+
+
+@pytest.mark.parametrize("seed", list(RANDOM_LEVELS_SHA256))
+def test_random_tree_levels_are_pinned(seed):
+    levels = build_tree(FamilySpec("random", 18, seed)).levels
+    digests = []
+    for d, (phis, _) in enumerate(levels, 2):
+        assert phis.dtype == np.int32 and phis.shape == (1 << (18 - d), 1 << (d - 1))
+        digests.append(hashlib.sha256(phis.tobytes()).hexdigest())
+    assert digests == RANDOM_LEVELS_SHA256[seed].split()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bclayout import (
     BcGraph,
     ConstructionTree,
+    EnumerationLimitError,
     FamilySpec,
     Graph,
     KINDS,
@@ -32,6 +33,7 @@ from bclayout import (
     random_arrangement,
     random_bc,
 )
+from bclayout import layout
 from bclayout.verify import cross_matching_cost
 
 C4 = Graph(4, [(0, 1), (2, 3), (0, 2), (1, 3)])
@@ -322,6 +324,20 @@ def test_evaluate_generic_suboptimal():
     report = evaluate_arrangement(C4, bad)
     assert report.cost > report.lower_bound
     assert not report.optimal
+
+
+def test_evaluate_refuses_a_large_graph_before_any_work(monkeypatch):
+    # 32 vertices without a witness: the generic bound's limit comes first,
+    # after the size check, and no cost or cut profile is computed
+    def no_work(*args):
+        raise AssertionError("accumulated before the limit check")
+
+    monkeypatch.setattr(layout, "_accumulate", no_work)
+    graph = hypercube(5).graph
+    with pytest.raises(EnumerationLimitError, match="32 vertices exceeds the 24-vertex"):
+        evaluate_arrangement(graph, LinearArrangement.identity(32))
+    with pytest.raises(ValueError, match="arrangement covers 31 vertices, graph has 32"):
+        evaluate_arrangement(graph, LinearArrangement.identity(31))
 
 
 def test_evaluate_with_witness_uses_closed_bound():

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bclayout import FamilySpec, families
-from bclayout.rng import _GAMMA, SplitMix64, bounded_draws, shuffle_rows
+from bclayout.rng import _BATCH_ROWS, _GAMMA, SplitMix64, _replay, bounded_draws, shuffle_rows
+from reference import seed_drawing
 
 # Published SplitMix64 reference outputs for seed 0; any change to the
 # constants or the mixing steps breaks these.
@@ -116,6 +117,8 @@ def test_bounded_draws_report_a_likely_rejection():
     assert rejected.any()
     _, rejected = bounded_draws(7, np.arange(1, 65, dtype=np.uint64), bound - 1)
     assert not rejected.any()
+    values, rejected = bounded_draws(7, np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint64))
+    assert values.shape == rejected.shape == (0,)
     # scalar operands wrap silently too
     b = (1 << 63) + 1
     value, rejected = bounded_draws(MASK, MASK, b)
@@ -123,10 +126,39 @@ def test_bounded_draws_report_a_likely_rejection():
     assert (value, rejected) == (z % b, z >= ((1 << 64) // b) * b)
 
 
+def _scalar_rejects(z, b):
+    return z >= ((1 << 64) // b) * b
+
+
+@pytest.mark.parametrize("z", [MASK - 2, MASK - 1])
+def test_bounded_draws_screen_passes_a_high_draw_that_no_bound_rejects(z):
+    # z is at least 2**64 - max(b), so the exact rule runs; 2**64 mod b is
+    # 1 for 3 and 5 and 0 for 2**63, so only 2**64 - 1 would be rejected
+    bounds = np.array([3, 5, 1 << 63], dtype=np.uint64)
+    values, rejected = bounded_draws(seed_drawing(z, 1), np.uint64(1), bounds)
+    assert values.tolist() == [z % 3, z % 5, z % (1 << 63)]
+    assert rejected.tolist() == [False] * 3
+
+
+def test_bounded_draws_decide_mixed_bounds_entry_by_entry():
+    # a draw of 2**64 - 2 or 2**64 - 1 broadcast against six bounds, in two
+    # rows: 2**64 mod b is 1 for 3, 5 and 2**64 - 1, 4 for 6, 0 for 2**63,
+    # and 2**63 - 1 for 2**63 + 1
+    bounds = [3, 5, 6, 1 << 63, (1 << 63) + 1, MASK]
+    for z in (MASK - 1, MASK):
+        counters = np.full((2, 1), 2, dtype=np.uint64)
+        values, rejected = bounded_draws(seed_drawing(z, 2), counters, np.array(bounds, dtype=np.uint64))
+        assert values.shape == rejected.shape == (2, 6)
+        assert values.tolist() == [[z % b for b in bounds]] * 2
+        assert rejected.tolist() == [[_scalar_rejects(z, b) for b in bounds]] * 2
+    assert [_scalar_rejects(MASK - 1, b) for b in bounds] == [False, False, True, False, True, False]
+    assert [_scalar_rejects(MASK, b) for b in bounds] == [True, True, True, False, True, True]
+
+
 @pytest.mark.parametrize(
     "count, size",
     [(c, s) for c in (1, 2, 7, 63, 64, 200) for s in (2, 5, 16, 257)]
-    + [(1, 4096), (63, 4096)],
+    + [(1, 4096), (63, 4096), (63, 2048), (64, 2048)],
 )
 def test_shuffle_rows_matches_permutation(count, size):
     # both paths of shuffle_rows, fed the draws permutation() makes
@@ -175,3 +207,24 @@ def test_shuffle_rows_replays_self_steps_and_long_chains(count, size):
         perms = shuffle_rows(np.tile(row, (count, 1)).astype(np.uint64))
         assert perms.tolist() == [_swaps(row.tolist(), size)] * count
 
+
+
+@given(
+    st.integers(_BATCH_ROWS, 3 * _BATCH_ROWS),
+    st.integers(2, 300),
+    st.integers(0, MASK),
+    st.integers(0, 8),
+)
+@example(_BATCH_ROWS, 2, 0, 0)
+@example(_BATCH_ROWS, 300, MASK, 8)
+@settings(max_examples=40)
+def test_the_many_row_loop_and_the_replay_agree(count, size, seed, shift):
+    # the same stream draws through both routes; a shift right keeps every
+    # draw in range and aims more steps at low positions, so chains grow long
+    counters = np.arange(1, count * (size - 1) + 1, dtype=np.uint64).reshape(count, size - 1)
+    draws, _ = bounded_draws(seed, counters, np.arange(size, 1, -1, dtype=np.uint64))
+    draws >>= np.uint64(shift)
+    perms = shuffle_rows(draws)
+    assert perms.flags.c_contiguous and perms.dtype == np.int32
+    assert np.array_equal(perms, _replay(draws))
+    assert (np.sort(perms, axis=1) == np.arange(size)).all()
