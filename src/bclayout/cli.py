@@ -30,6 +30,7 @@ from .layout import (
 
 # The full table, 2**n - 1 rows, is written up to this dimension: 22.9 MB of
 # text at n = 20, doubling with each dimension; larger ones need --m or --max-m.
+# Up to it, the full and --max-m tables come from the proven cut profile.
 FULL_TABLE_DIMENSION_LIMIT = 20
 
 # (stdout, stderr) of the `run` call in progress in this context; one
@@ -212,7 +213,7 @@ def _cmd_build(args, out, err) -> int:
 
 
 def _cmd_table(args, out, err) -> int:
-    n = args.dimension
+    n, ms, top = args.dimension, None, None
     _check_boundary_args(n, 1)  # the dimension, before any m
     if args.m is not None:
         tokens = list(filter(None, (tok.strip(formats._BLANKS) for tok in args.m.split(","))))
@@ -227,18 +228,17 @@ def _cmd_table(args, out, err) -> int:
     elif args.max_m is not None:
         top = min(args.max_m, (1 << min(n, args.max_m.bit_length())) - 1)  # <= 2**n - 1
         _check_boundary_args(n, top)  # a MAX_M below 1 fails like --m
-        ms = range(1, top + 1)
     elif n <= FULL_TABLE_DIMENSION_LIMIT:
-        ms = None  # every m, from the proven cut profile
+        top = (1 << n) - 1
     else:
         raise ValueError(
             f"a full table for n={n} is too large; pass --max-m or --m"
         )
     with _open_out(args.output, out) as fp:
-        if ms is None:
-            formats._write_full_table(fp, n)
-        else:
-            formats.write_isoperimetric_table(fp, n, ms)
+        if ms is None and n <= FULL_TABLE_DIMENSION_LIMIT:  # from the proven cut profile
+            formats._write_full_table(fp, n, top)
+        else:  # --m, which may ask for m = 2**n past the profile, or n above the limit
+            formats.write_isoperimetric_table(fp, n, ms or range(1, top + 1))
     return 0
 
 

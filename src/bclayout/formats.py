@@ -21,7 +21,7 @@ empty word for the groups above it. The literals around the values
 grid. `bytes.translate` deletes the NULs and the rest is the ASCII text.
 The `m,I,theta` rows of `write_isoperimetric_table` are the one text output
 not written by `_format_rows`, as their integers can exceed 64 bits;
-`table`'s full table (n <= 20) is, from the proven cut profile.
+`table`'s rows m = 1..top at n <= 20 are, from the proven cut profile.
 
 Graph JSON and arrangements are read in bulk when the text is exactly what
 their writer writes: numpy reads the integers, the writer writes them
@@ -254,7 +254,7 @@ def load_graph_json(fp: IO[str]) -> GraphDocument:
 def _parse_graph_json(text: str) -> GraphDocument:
     bulk = _bulk_graph_json(text)
     if bulk is not None:
-        return _graph_document(*bulk)
+        return bulk
     # JSON nested beyond the interpreter's recursion limit is malformed input,
     # and so is an integer literal with more digits than int() may convert
     try:
@@ -269,12 +269,13 @@ def _parse_graph_json(text: str) -> GraphDocument:
     return _graph_document(data)
 
 
-def _bulk_graph_json(text: str):
-    """(members, edge array, tree rows or None) of a text that is exactly
-    what `dump_graph_json` writes, or None for any other text. numpy reads
-    the integers of the dimension, the edges and the tree, the writer writes
-    the document again from them, and every byte must match: no other layout
-    or spelling passes, nor a value beyond int64, which numpy reads as 2**63 - 1."""
+def _bulk_graph_json(text: str) -> GraphDocument | None:
+    """The document of a text that is exactly what `dump_graph_json` writes
+    with a dimension of 1..63, or None for any other text. numpy reads the
+    integers of the dimension, the edges and the tree, the writer writes the
+    document again from them, and every byte must match: no other layout or
+    spelling passes, nor a value beyond int64, which numpy reads as 2**63 - 1.
+    The graph checks the int64 edge rows and holds them uncopied."""
     if not text.isascii() or not text.startswith('{"dimension":'):
         return None
     # searched from the end, past the edges: the rewrite checks any split
@@ -283,9 +284,11 @@ def _bulk_graph_json(text: str):
     if len(head) % 2 == 0:
         return None
     k, edges, rows, levels = int(head[0]), head[1:].reshape(-1, 2), None, None
+    if not 0 < k < 64:  # the general reader's message
+        return None
     if tree_at >= 0:
         flat = _digits(text, tree_at, end)
-        if not 0 < k < 64 or len(flat) != (k - 1) << (k - 1):  # 2**(k-1) entries a level
+        if len(flat) != (k - 1) << (k - 1):  # 2**(k-1) entries a level
             return None
         in_text = _tree_layout(k)[1]
         widths = 1 << (in_text - 1)
@@ -294,7 +297,8 @@ def _bulk_graph_json(text: str):
         levels = [(row, np.arange(len(row))) for row in rows]
     if not _writes_again(text, _write_graph_json, k, edges, levels):
         return None
-    return {"dimension": k, "edges": []}, edges, rows
+    graph = Graph._adopt(1 << k, _canonical_edges(1 << k, edges))  # edges before the tree
+    return GraphDocument(graph, k, None if rows is None else _tree_from_rows(rows))
 
 
 def _digits(text: str, lo: int, hi: int) -> np.ndarray:
@@ -323,7 +327,7 @@ def _writes_again(text: str, dump, *args) -> bool:
     return replay.same and replay.at == len(text)
 
 
-def _graph_document(data, edge_array=None, tree_rows=None) -> GraphDocument:
+def _graph_document(data) -> GraphDocument:
     if not isinstance(data, dict):
         raise ValueError("graph JSON must be an object")
     dimension = data.get("dimension")
@@ -334,15 +338,8 @@ def _graph_document(data, edge_array=None, tree_rows=None) -> GraphDocument:
     edges = data.get("edges")
     if not isinstance(edges, list):
         raise ValueError("'edges' must be an array of pairs")
-    if edge_array is not None:  # the bulk path's own int64 rows: checked, held uncopied
-        graph = Graph._adopt(1 << dimension, _canonical_edges(1 << dimension, edge_array))
-    else:
-        graph = Graph(1 << dimension, edges)
-    tree = None
-    if tree_rows is not None:
-        tree = _tree_from_rows(tree_rows)
-    elif data.get("tree") is not None:
-        tree = tree_from_json_obj(data["tree"])
+    graph = Graph(1 << dimension, edges)
+    tree = None if data.get("tree") is None else tree_from_json_obj(data["tree"])
     if tree is not None and tree.dimension != dimension:
         raise ValueError(
             f"tree dimension {tree.dimension} disagrees with "
@@ -478,11 +475,11 @@ def write_isoperimetric_table(fp: IO[str], n: int, ms: Iterable[int]) -> None:
         fp.write(f"{m},{(n * m - theta) // 2},{theta}\n")
 
 
-def _write_full_table(fp: IO[str], n: int) -> None:
-    """`write_isoperimetric_table(fp, n, range(1, 2**n))` from the proven
-    cut profile, θ(n, m) at m = 1..2**n - 1, a block of rows at a time."""
+def _write_full_table(fp: IO[str], n: int, top: int) -> None:
+    """`write_isoperimetric_table(fp, n, range(1, top + 1))` for top < 2**n,
+    from the proven cut profile θ(n, m), a block of rows at a time."""
     fp.write("m,I,theta\n")
-    profile, step = certify_dimension(n).cut_profile, _BLOCK // 3  # three values a row
+    profile, step = certify_dimension(n).cut_profile[:top], _BLOCK // 3  # three values a row
     for lo in range(0, len(profile), step):
         theta = profile[lo : lo + step]
         m = np.arange(lo + 1, lo + 1 + len(theta))

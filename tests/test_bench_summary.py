@@ -60,7 +60,9 @@ def test_pairs_by_workload_and_seed(tmp_path):
     assert w["pairs_won"]["peak_rss_mb"] == {"change": 0, "parent": 0}
     # inclusive quartiles of 2, 3, 4, 5
     assert w["parent"]["metrics"]["item_s_p50"] == {
-        "median": 3.5, "q1": 2.75, "q3": 4.25, "unit": "s"}
+        "median": 3.5, "q1": 2.75, "q3": 4.25, "spread": 1.5 / 3.5, "unit": "s"}
+    assert out["bounds"] == {"setup_s": 0.25, "items_per_s": 0.25, "item_s_p50": 0.25,
+                             "peak_rss_mb": 0.05}  # BENCHMARK.json's
     assert out["machine"] == {k: MACHINE[k] for k in ("cores", "ram_gb", "python", "numpy")}
 
 

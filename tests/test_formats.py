@@ -447,14 +447,37 @@ def test_isoperimetric_table_output():
     assert rows[-1] == "7,9,3"
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 12])
-def test_full_table_is_the_closed_form_at_every_m(n):
-    """The full table, written from the proven cut profile, is the rows
-    `write_isoperimetric_table` evaluates one closed form at a time."""
-    expected, buf = io.StringIO(), io.StringIO()
-    write_isoperimetric_table(expected, n, range(1, 1 << n))
-    formats._write_full_table(buf, n)
-    assert buf.getvalue() == expected.getvalue()
+def table_stdout(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(["table", *argv], stdout=out, stderr=err) == 0, err.getvalue()
+    return out.getvalue()
+
+
+def closed_form_table(n, ms):
+    buf = io.StringIO()
+    write_isoperimetric_table(buf, n, ms)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 20])
+def test_table_rows_are_the_closed_form_at_every_top(n):
+    """`table -n N --max-m TOP`, written from the proven cut profile, is the
+    rows `write_isoperimetric_table` evaluates one closed form at a time:
+    TOP of 1, 2**k - 1 and 2**k about the writer's block of 1365 rows,
+    2**n - 1 and above 2**n, where the rows stop at 2**n - 1. At n = 20 the
+    full table is checked at its last rows and by `test_golden`, which pins
+    it to the digest of `write_isoperimetric_table(fp, 20, range(1, 2**20))`
+    (4 s at one closed form a row)."""
+    full = (1 << n) - 1
+    for top in sorted({1, 7, 8, 2047, 2048, full, full + 2}):
+        got = table_stdout("-n", str(n), "--max-m", str(top))
+        if min(top, full) < 1 << 12:
+            assert got == closed_form_table(n, range(1, min(top, full) + 1)), top
+        else:
+            assert got == table_stdout("-n", str(n)), top
+    if n == 20:
+        tail = closed_form_table(n, range(full - 2047, full + 1)).split("\n", 1)[1]
+        assert table_stdout("-n", "20").endswith(tail)
 
 
 def test_isoperimetric_table_huge_dimension():
@@ -711,19 +734,34 @@ def test_graph_json_edge_cases_read_like_json_loads(text):
     assert_reads_like_json_loads(text)
 
 
-def test_build_layout_takes_the_bulk_path():
-    """`build` output is read on the bulk path, and its edges arrive as one
-    int64 block that the graph checks and adopts, read-only, without a copy."""
+def test_build_layout_takes_the_bulk_path(monkeypatch):
+    """`build` output is read on the bulk path into its document, and its
+    edges arrive as one int64 block that the graph checks and adopts,
+    read-only, without a copy: `Graph`'s constructor, which copies, never runs."""
     flat = [graph_json("hypercube", 5, None, False), graph_json("random", 5, 1, False)]
+    parsed, read = [], formats._digits
+
+    def digits(*args):
+        parsed.append(read(*args))
+        return parsed[-1]
+
+    def copied(*args):
+        raise AssertionError("edges passed to Graph's constructor")
+
+    monkeypatch.setattr(formats, "_digits", digits)
+    monkeypatch.setattr(Graph, "__init__", copied)
     for text in (DOC, DOC.replace(EDGES, "[]"), f'{{"dimension":2,"edges":{EDGES}}}\n', *flat):
-        data, edges, rows = _bulk_graph_json(text)
-        assert data["edges"] == []
-        assert edges.tolist() == json.loads(text)["edges"] and edges.dtype == np.int64
-        adopted = _graph_document(data, edges, rows).graph.edge_array
-        assert adopted is edges and not adopted.flags.writeable
-    # only `build`'s bytes: not reordered members
+        parsed.clear()
+        doc, data = _bulk_graph_json(text), json.loads(text)
+        edges = doc.graph.edge_array
+        assert edges.tolist() == data["edges"] and edges.dtype == np.int64
+        assert edges.base is parsed[0] and not edges.flags.writeable  # a view of the parse
+        assert doc.dimension == data["dimension"] and (doc.tree is None) == ("tree" not in data)
+    monkeypatch.undo()
+    # only `build`'s bytes: not reordered members; and only dimensions 1..63
     for text in (DOC.replace("[0,1],", "[0, 1],"), DOC.replace("[0,1],", "[-0,1],"),
-                 f'{{"edges":{EDGES},"dimension":2}}'):
+                 f'{{"edges":{EDGES},"dimension":2}}', '{"dimension":0,"edges":[]}\n',
+                 '{"dimension":64,"edges":[]}\n'):
         assert _bulk_graph_json(text) is None
 
 

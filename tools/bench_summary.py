@@ -5,9 +5,11 @@
 Each directory holds the JSON records `perfbench/run.py --trace 0` writes
 to `perfbench/out/` (one per workload and seed). A record is paired with the
 other side's record of the same workload and seed. For every workload and
-side the output gives, per end-to-end metric of BENCHMARK.json, the median
-and the quartiles over the paired runs, with the items attempted and failed;
-per metric it counts the pairs each side won. It also gives the pair count,
+side the output gives, per end-to-end metric of BENCHMARK.json, the median,
+the quartiles and their spread (q3 - q1) / median over the paired runs, with
+the items attempted and failed; per metric it counts the pairs each side won.
+It copies each metric's relative bound beside them: a side whose spread is
+wider than a bound cannot show that bound crossed or kept. It also gives the pair count,
 the seeds and the machine the records were made on. A workload with a
 single pair is an error (exit 2): its quartiles are undefined.
 """
@@ -34,7 +36,7 @@ def load(directory: str) -> dict:
 
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3}
+    return {"median": median, "q1": q1, "q3": q3, "spread": (q3 - q1) / median}
 
 
 def side(recs: list[dict], metrics: dict) -> dict:
@@ -86,6 +88,7 @@ def main(argv: list[str]) -> int:
         "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0",
         "machine": machines[0] if len(machines) == 1 else machines,
         "quartiles": "statistics.quantiles(n=4, method='inclusive') over the paired runs",
+        "bounds": {name: spec["bound"] for name, spec in metrics.items()},
         "workloads": workloads,
     }
     with open(argv[2], "w") as fp:
